@@ -260,7 +260,6 @@ pub fn abl_bound() -> Table {
             "neither",
             "prune_weight",
             "prune_propagate",
-            "prune_hybrid",
         ],
     );
     for (n, clusters, size) in [(9usize, 3usize, 3usize), (12, 4, 3), (16, 4, 4)] {
@@ -290,7 +289,6 @@ pub fn abl_bound() -> Table {
             branched(&m, MutSolver::new().without_maxmin().without_upgmm()).to_string(),
             pruned(PruneStrategy::WeightOnly).to_string(),
             pruned(PruneStrategy::Propagate).to_string(),
-            pruned(PruneStrategy::Hybrid).to_string(),
         ]);
     }
     t

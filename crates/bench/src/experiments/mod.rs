@@ -13,21 +13,17 @@
 //! * [`leafwords`] — the const-generic leaf-bitset widths: K=1 vs K=2 on
 //!   the frontier batch (hot-path regression watch), plus the 80-taxon
 //!   wide solve the width dispatcher unlocked.
-//! * [`bound_kernel`] — the lane-oriented bound path over the blocked
-//!   solver matrix against the scalar packed-triangle reference, at
-//!   every monomorphized leaf width.
 //! * [`cache`] — the content-addressed group-solve cache: the frontier
 //!   batch solved cold then replayed warm through cache-enabled solve
 //!   plans (hit rate, replay speedup, bit-identity).
-//! * [`propagate`] — the constraint-propagation prune stage (height
-//!   floors + triple-domain arm wipeouts) against the weight-only
+//! * [`propagate`] — the constraint-propagation prune stage
+//!   (triple-domain arm wipeouts) against the weight-only
 //!   baseline on the frontier batch, at 1/4/8 threads.
 //! * [`serve`] — the solve daemon replaying the frontier batch over a
 //!   real TCP socket at increasing client concurrency: sustained req/s,
 //!   p50/p99 latency, cache hit rate, and shed count under overload.
 
 pub mod ablations;
-pub mod bound_kernel;
 pub mod cache;
 pub mod frontier;
 pub mod hpcasia;

@@ -17,11 +17,10 @@
 //!
 //! Everything here is *exact*: the kernels only reorder `min`/`max`
 //! reductions and comparisons, never additions, so results are
-//! bit-identical to the scalar reference path (floating-point min/max
-//! over a fixed set of values is order-insensitive; the one summation,
-//! [`pendant_suffix`], keeps the reference accumulation order). The
-//! scalar path survives behind [`BoundKernel::Scalar`] for the
-//! differential tests and the `MUTREE_FORCE_BOUND_KERNEL` CI matrix.
+//! bit-identical to a naive scalar loop (floating-point min/max over a
+//! fixed set of values is order-insensitive; the one summation,
+//! [`pendant_suffix`], sums in one fixed order). The tests below keep
+//! that naive loop as the oracle.
 //!
 //! Padding discipline: rows may be longer than the taxon count, and the
 //! padding lanes are NaN-poisoned in debug builds. Every kernel selects
@@ -33,43 +32,14 @@
 /// line, one lane block of the solver matrix.
 pub const LANES: usize = 8;
 
-/// Which implementation of the bound arithmetic a solve runs.
+/// Which implementation of the bound arithmetic a solve runs. The lane
+/// kernels over the solver matrix are the only one; the type remains
+/// because the benchmark harness still names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BoundKernel {
-    /// Scalar reference: packed-triangle `get(i, j)` per mask bit — the
-    /// historical code path, kept as the differential baseline.
-    Scalar,
-    /// Lane kernels over the blocked solver-matrix rows (the default).
+    /// Lane kernels over the blocked solver-matrix rows.
     #[default]
     Lanes,
-}
-
-impl BoundKernel {
-    /// Parses a kernel name: `scalar` or `lanes` (whitespace trimmed).
-    /// Unrecognized values mean no kernel. This is the pure half of the
-    /// `MUTREE_FORCE_BOUND_KERNEL` override, whose environment read lives
-    /// with every other env hook in the engine crate's plan resolution.
-    pub fn parse(spec: &str) -> Option<BoundKernel> {
-        match spec.trim() {
-            "scalar" => Some(BoundKernel::Scalar),
-            "lanes" => Some(BoundKernel::Lanes),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name, for stats lines and experiment tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            BoundKernel::Scalar => "scalar",
-            BoundKernel::Lanes => "lanes",
-        }
-    }
-}
-
-impl std::fmt::Display for BoundKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// A mask word with at least this many set bits takes the dense
@@ -83,16 +53,16 @@ const DENSE_WORD_BITS: u32 = 32;
 /// Maximum of `row[y]` over the leaf indices `y` set in `words`, floored
 /// at `0.0` — the pendant-height candidate `max_{y ∈ mask} M[s, y]` of
 /// the insertion walk (distances are non-negative, and the caller takes
-/// a running max against existing heights, so the floor matches the
-/// scalar reference's `0.0` accumulator exactly).
+/// a running max against existing heights, so the floor only makes the
+/// empty mask well-defined).
 ///
 /// Mask word `w` selects lanes `64w..64(w+1)` of `row`; zero words are
 /// skipped without touching the row, so a mask word can only be non-zero
 /// where the row has valid lanes. Per word the kernel is adaptive:
 /// sparse words peel set bits (`w & (w - 1)`) with one contiguous row
-/// load each — no packed-triangle index math, which is where the scalar
-/// path spends itself — while words at `DENSE_WORD_BITS` or more run a
-/// branch-free 8-lane select-and-max over the word's whole lane range.
+/// load each — no packed-triangle index math — while words at
+/// `DENSE_WORD_BITS` or more run a branch-free 8-lane select-and-max
+/// over the word's whole lane range.
 /// The sparse peel indexes `row` directly rather than through a
 /// fixed-size word view: partial subtree masks are one-to-eight bits far
 /// more often than not, and the view's slice-and-convert preamble costs
@@ -151,7 +121,7 @@ pub fn max_in_mask(row: &[f64], words: &[u64]) -> f64 {
 
 /// Minimum over `row[0..len]` — the per-taxon pendant term
 /// `min_{i<t} M[i, t]` of the Wu–Chao–Tang bound. Returns `+∞` when
-/// `len == 0`, matching the scalar reference's fold seed.
+/// `len == 0`, the seed of a plain `fold(+∞, min)`.
 ///
 /// # Panics
 ///
@@ -178,11 +148,9 @@ pub fn min_prefix(row: &[f64], len: usize) -> f64 {
 }
 
 /// `suffix[t] = Σ_{u ≥ t} minrow[u] / 2` with `suffix[n] = 0`, summed
-/// from the back exactly like the scalar reference (`minrow[t]` is
-/// `min_{i<t} M[i, t]`; entries `0` and `1` are never read and stay at
-/// the reference's `0.0`). Addition order is preserved, so the suffix
-/// table — the only *summation* in the bound — is bit-identical whichever
-/// kernel produced the minima.
+/// from the back (`minrow[t]` is `min_{i<t} M[i, t]`; entries `0` and
+/// `1` are never read). This fixed addition order keeps the suffix
+/// table — the only *summation* in the bound — reproducible bit for bit.
 pub fn pendant_suffix(minrow: &[f64]) -> Vec<f64> {
     let n = minrow.len();
     let mut suffix = vec![0.0; n + 1];
@@ -365,13 +333,5 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn kernel_names_parse_known_values_only() {
-        assert_eq!(BoundKernel::parse("scalar"), Some(BoundKernel::Scalar));
-        assert_eq!(BoundKernel::parse(" lanes\n"), Some(BoundKernel::Lanes));
-        assert_eq!(BoundKernel::parse("simd512"), None);
-        assert_eq!(BoundKernel::parse(""), None);
     }
 }

@@ -275,8 +275,8 @@ pub enum PruneReason {
     /// solution is dropped rather than poisoning the bound).
     NanObjective,
     /// The constraint-propagation stage ([`Problem::propagate`]) proved
-    /// the node dominated: a triple-domain wipeout or a propagated
-    /// height floor fired before the weight bound could.
+    /// the node dominated: a triple-domain wipeout fired before the
+    /// weight bound could.
     Propagation,
 }
 

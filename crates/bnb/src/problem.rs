@@ -333,8 +333,8 @@ pub struct SearchStats {
     /// incumbent.
     pub pruned: u64,
     /// Nodes discarded by the constraint-propagation stage
-    /// ([`Problem::propagate`]): a triple-domain wipeout or a propagated
-    /// height floor beat the weight bound to the prune. Counted in
+    /// ([`Problem::propagate`]): a triple-domain wipeout beat the weight
+    /// bound to the prune. Counted in
     /// [`pruned`](SearchStats::pruned) as well — this field attributes
     /// the subset the second stage caught.
     pub propagation_pruned: u64,

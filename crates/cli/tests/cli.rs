@@ -67,25 +67,19 @@ fn solve_reads_stdin_and_prints_newick() {
     assert!(stdout.contains("weight: 11"));
     assert!(stdout.contains("alpha"));
     assert!(stdout.contains(";"));
-    // Diagnostics name both the leaf width and the bound kernel in play
-    // (exact values depend on the ambient MUTREE_FORCE_* hooks CI pins,
+    // Diagnostics name the leaf width and prune stages in play (the
+    // width depends on the ambient MUTREE_FORCE_LEAF_WORDS hook CI pins,
     // so assert the lines, not the dispatch).
     assert!(stdout.contains("leaf words: "), "{stdout}");
-    assert!(stdout.contains("bound kernel: "), "{stdout}");
-    assert!(stdout.contains("matrix layout: "), "{stdout}");
     assert!(stdout.contains("prune: "), "{stdout}");
 }
 
 #[test]
-fn solve_forced_kernel_and_prune_agree_with_defaults() {
+fn solve_forced_prune_agrees_with_defaults() {
     let (base, ok) = run_with_stdin(&["solve", "-"], MATRIX);
     assert!(ok);
     let weight = base.lines().find(|l| l.starts_with("weight:")).unwrap();
-    for flags in [
-        ["--bound-kernel", "scalar"],
-        ["--prune", "weight"],
-        ["--prune", "propagate"],
-    ] {
+    for flags in [["--prune", "weight"], ["--prune", "propagate"]] {
         let (stdout, ok) = run_with_stdin(&["solve", "-", flags[0], flags[1]], MATRIX);
         assert!(ok, "{flags:?}: {stdout}");
         assert!(stdout.contains(weight), "{flags:?}: {stdout}");
@@ -126,10 +120,34 @@ fn solve_rejects_bad_prune_strategy() {
 }
 
 #[test]
-fn solve_rejects_bad_bound_kernel() {
-    let (stderr, code) = run_stdin_stderr(&["solve", "-", "--bound-kernel", "gpu"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("unknown bound kernel"), "{stderr}");
+fn solve_and_fast_reject_unknown_flags() {
+    // A file, not stdin: the flags are rejected before the matrix is read.
+    let dir = std::env::temp_dir().join(format!("mutree-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("m.phy");
+    std::fs::write(&path, MATRIX).unwrap();
+    let path = path.to_str().unwrap();
+    for cmd in ["solve", "fast"] {
+        for (flags, bad) in [
+            (&["--treads", "4"][..], "--treads"),
+            (&["--bogus"], "--bogus"),
+            (&["--bound-kernel", "scalar"], "--bound-kernel"),
+            (
+                &["--prune", "weight", "--bound-kernel", "lanes"],
+                "--bound-kernel",
+            ),
+        ] {
+            let args: Vec<&str> = [cmd, path].iter().chain(flags).copied().collect();
+            let out = mutree().args(&args).output().expect("spawn mutree");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("unknown flag {bad:?}")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -164,11 +182,8 @@ fn fast_prints_groups() {
 }
 
 #[test]
-fn fast_accepts_kernel_and_prune_flags() {
-    let (stdout, ok) = run_with_stdin(
-        &["fast", "-", "--bound-kernel", "scalar", "--prune", "weight"],
-        MATRIX,
-    );
+fn fast_accepts_prune_flag() {
+    let (stdout, ok) = run_with_stdin(&["fast", "-", "--prune", "weight"], MATRIX);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("prune: weight"), "{stdout}");
 }

@@ -142,7 +142,13 @@ struct ExecutorCore {
 
 impl Drop for ExecutorCore {
     fn drop(&mut self) {
-        self.queue.shutdown.store(true, Ordering::Release);
+        {
+            // Set the flag under the queue lock: a worker that checked it
+            // in `next_job` and has not yet started waiting still holds
+            // the lock, so it cannot miss the wakeup below.
+            let _jobs = self.queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            self.queue.shutdown.store(true, Ordering::Release);
+        }
         self.queue.cv.notify_all();
         for handle in self
             .handles
@@ -587,6 +593,26 @@ mod tests {
             Box::new(|| {}),
         );
         assert_eq!(counter.load(Ordering::Relaxed), 15);
+    }
+
+    /// Dropping a pool whose workers are just going to sleep must wake
+    /// them all: a shutdown flag set outside the queue lock could slip
+    /// between a worker's check and its wait, and the join in `Drop`
+    /// then hung (measured on a 2-core host: after 1k to 36k cycles).
+    #[test]
+    fn dropping_fresh_executors_never_hangs() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                drop(Executor::new(2));
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(60)).is_ok(),
+            "an executor drop missed its shutdown wakeup"
+        );
+        cycles.join().expect("create/drop thread");
     }
 
     #[test]

@@ -1,8 +1,8 @@
-use mutree_bnb::bound::triple_index;
+use mutree_bnb::bound::{self, triple_index};
 use mutree_bnb::propagate::{Arm, TripleDomains};
+use mutree_distmat::SolverMatrix;
 use mutree_tree::UltrametricTree;
 
-use crate::dist::{DistSource, RowMax};
 use crate::leafset::LeafWords;
 
 const NONE: u32 = u32::MAX;
@@ -171,19 +171,13 @@ impl<const K: usize> PartialTree<K> {
     /// The root BBT node: the unique topology over taxa `{0, 1}`, with
     /// height `M[0,1] / 2`.
     ///
-    /// Generic over the [`DistSource`]: pass the plain
-    /// [`DistanceMatrix`](mutree_distmat::DistanceMatrix) for the scalar
-    /// reference path, or a [`LaneDist`](crate::LaneDist) view of the
-    /// blocked [`SolverMatrix`](mutree_distmat::SolverMatrix) for the
-    /// lane-kernel path — both produce bit-identical trees.
-    ///
     /// # Panics
     ///
     /// Panics when the matrix exceeds [`MAX_TAXA`](Self::MAX_TAXA) taxa
     /// (enforce via [`MutSolver`](crate::MutSolver), which dispatches to a
     /// wide-enough width and returns an error beyond the widest).
-    pub fn cherry<S: DistSource>(m: &S) -> Self {
-        let n = m.taxa();
+    pub fn cherry(sm: &SolverMatrix) -> Self {
+        let n = sm.len();
         assert!(
             n <= Self::MAX_TAXA,
             "PartialTree with {K} leaf words supports at most {} taxa, got {n}",
@@ -215,8 +209,8 @@ impl<const K: usize> PartialTree<K> {
         t.parent[0] = r as u32;
         t.parent[1] = r as u32;
         t.leafset[r] = LeafWords::singleton(0).union(LeafWords::singleton(1));
-        t.height[r] = m.dist(0, 1) / 2.0;
-        t.weight = m.dist(0, 1);
+        t.height[r] = sm.get(0, 1) / 2.0;
+        t.weight = sm.get(0, 1);
         t
     }
 
@@ -267,9 +261,9 @@ impl<const K: usize> PartialTree<K> {
     ///
     /// Panics (in debug builds) when the tree is already complete or
     /// `site` is not a live node.
-    pub fn insert_next<S: DistSource>(&self, m: &S, site: u32) -> PartialTree<K> {
+    pub fn insert_next(&self, sm: &SolverMatrix, site: u32) -> PartialTree<K> {
         let mut t = self.clone();
-        t.insert_in_place(m, site);
+        t.insert_in_place(sm, site);
         t
     }
 
@@ -277,20 +271,19 @@ impl<const K: usize> PartialTree<K> {
     /// into `scratch` (typically a retired sibling from the same search)
     /// instead of allocating a fresh tree. With a warmed-up scratch this is
     /// allocation-free: `clone_from` reuses the arena vectors in place.
-    pub fn insert_next_into<S: DistSource>(&self, m: &S, site: u32, scratch: &mut PartialTree<K>) {
+    pub fn insert_next_into(&self, sm: &SolverMatrix, site: u32, scratch: &mut PartialTree<K>) {
         scratch.clone_from(self);
-        scratch.insert_in_place(m, site);
+        scratch.insert_in_place(sm, site);
     }
 
     /// Inserts the next species above `site`, mutating `self` (which must
     /// be a copy of the parent node). The masked row maxima feeding each
-    /// ancestor's height all read the inserted taxon's row, so the cursor
-    /// from [`row_max`](DistSource::row_max) is fetched once up front —
-    /// the bound-kernel seam.
-    fn insert_in_place<S: DistSource>(&mut self, m: &S, site: u32) {
+    /// ancestor's height all read the inserted taxon's row, so the row is
+    /// fetched once up front and every ancestor pays one lane-kernel call.
+    fn insert_in_place(&mut self, sm: &SolverMatrix, site: u32) {
         debug_assert!(!self.is_complete(), "tree is already complete");
         let s = self.k as usize; // the taxon being inserted
-        let srow = m.row_max(s);
+        let srow = sm.row(s);
         let n = self.n as usize;
         let e = site as usize;
         debug_assert!(
@@ -307,7 +300,7 @@ impl<const K: usize> PartialTree<K> {
         self.parent[e] = j as u32;
         self.parent[s] = j as u32;
         self.leafset[j] = self.leafset[e].union(sbit);
-        let cand = srow.max_to_mask(&self.leafset[e]) / 2.0;
+        let cand = bound::max_in_mask(srow, self.leafset[e].words()) / 2.0;
         self.height[j] = self.height[e].max(cand);
         if p == NONE {
             self.root = j as u32;
@@ -334,7 +327,7 @@ impl<const K: usize> PartialTree<K> {
             } else {
                 self.left[ai]
             } as usize;
-            let cand = srow.max_to_mask(&self.leafset[sibling]) / 2.0;
+            let cand = bound::max_in_mask(srow, self.leafset[sibling].words()) / 2.0;
             self.height[ai] = self.height[ai].max(self.height[child]).max(cand);
             child = ai;
             a = self.parent[ai];
@@ -399,13 +392,6 @@ impl<const K: usize> PartialTree<K> {
         order
     }
 
-    /// Height of the current root — the tallest node of the partial
-    /// tree. The propagation stage compares it against the precomputed
-    /// per-depth height floors.
-    pub fn root_height(&self) -> f64 {
-        self.height[self.root as usize]
-    }
-
     /// Whether confinement masks are maintained on this node.
     pub(crate) fn prop_is_active(&self) -> bool {
         !self.prop_inside.is_empty()
@@ -450,16 +436,6 @@ impl<const K: usize> PartialTree<K> {
         // subtree; its own top edge stays legal.
         let outs = self.prop_outside[u];
         !(!outs.is_empty() && lx.is_subset(&outs) && lx != outs)
-    }
-
-    /// Drops the masks — the hybrid strategy's deep tail. Descendants of
-    /// this node skip domain maintenance entirely. `clear` keeps the
-    /// capacity, so a recycled scratch tree flips between active and
-    /// released states without reallocating.
-    pub(crate) fn prop_release(&mut self) {
-        self.prop_inside.clear();
-        self.prop_outside.clear();
-        self.prop_wiped = false;
     }
 
     /// Advances the confinement masks after the newest leaf's insertion:
@@ -634,7 +610,8 @@ mod tests {
     #[test]
     fn cherry_weight_and_sites() {
         let m = m5();
-        let t = PartialTree::<1>::cherry(&m);
+        let sm = SolverMatrix::new(&m);
+        let t = PartialTree::<1>::cherry(&sm);
         assert_eq!(t.leaves_inserted(), 2);
         assert_eq!(t.weight(), 9.0);
         assert_eq!(t.insertion_sites().count(), 3);
@@ -644,11 +621,12 @@ mod tests {
     #[test]
     fn insertion_site_count_grows_correctly() {
         let m = m5();
-        let mut t = PartialTree::<1>::cherry(&m);
+        let sm = SolverMatrix::new(&m);
+        let mut t = PartialTree::<1>::cherry(&sm);
         for expect in [3usize, 5, 7] {
             assert_eq!(t.insertion_sites().count(), expect);
             let site = t.insertion_sites().next().unwrap();
-            t = t.insert_next(&m, site);
+            t = t.insert_next(&sm, site);
         }
         assert!(t.is_complete());
     }
@@ -658,8 +636,9 @@ mod tests {
     #[test]
     fn weight_matches_fit_heights_everywhere() {
         let m = m5();
+        let sm = SolverMatrix::new(&m);
         // Depth-first over all insertion sequences.
-        let mut stack = vec![PartialTree::<1>::cherry(&m)];
+        let mut stack = vec![PartialTree::<1>::cherry(&sm)];
         let mut seen = 0;
         while let Some(t) = stack.pop() {
             if t.is_complete() {
@@ -677,7 +656,7 @@ mod tests {
             }
             let sites: Vec<u32> = t.insertion_sites().collect();
             for site in sites {
-                stack.push(t.insert_next(&m, site));
+                stack.push(t.insert_next(&sm, site));
             }
         }
         // A(5) = 3 * 5 * 7 = 105 distinct insertion sequences/topologies.
@@ -687,12 +666,13 @@ mod tests {
     #[test]
     fn weight_never_decreases_with_insertions() {
         let m = m5();
-        let t = PartialTree::<1>::cherry(&m);
+        let sm = SolverMatrix::new(&m);
+        let t = PartialTree::<1>::cherry(&sm);
         for site in t.insertion_sites().collect::<Vec<_>>() {
-            let t2 = t.insert_next(&m, site);
+            let t2 = t.insert_next(&sm, site);
             assert!(t2.weight() >= t.weight() - 1e-12);
             for site2 in t2.insertion_sites().collect::<Vec<_>>() {
-                let t3 = t2.insert_next(&m, site2);
+                let t3 = t2.insert_next(&sm, site2);
                 assert!(t3.weight() >= t2.weight() - 1e-12);
             }
         }
@@ -701,10 +681,11 @@ mod tests {
     #[test]
     fn to_ultrametric_is_valid() {
         let m = m5();
-        let mut t = PartialTree::<1>::cherry(&m);
+        let sm = SolverMatrix::new(&m);
+        let mut t = PartialTree::<1>::cherry(&sm);
         while !t.is_complete() {
             let site = t.insertion_sites().last().unwrap();
-            t = t.insert_next(&m, site);
+            t = t.insert_next(&sm, site);
         }
         let ut = t.to_ultrametric();
         assert!(ut.validate().is_ok());
@@ -717,11 +698,12 @@ mod tests {
     #[test]
     fn insert_next_into_matches_insert_next() {
         let m = m5();
-        let base = PartialTree::<1>::cherry(&m).insert_next(&m, 1);
-        let mut scratch = PartialTree::<1>::cherry(&m); // deliberately stale state
+        let sm = SolverMatrix::new(&m);
+        let base = PartialTree::<1>::cherry(&sm).insert_next(&sm, 1);
+        let mut scratch = PartialTree::<1>::cherry(&sm); // deliberately stale state
         for site in base.insertion_sites().collect::<Vec<_>>() {
-            let fresh = base.insert_next(&m, site);
-            base.insert_next_into(&m, site, &mut scratch);
+            let fresh = base.insert_next(&sm, site);
+            base.insert_next_into(&sm, site, &mut scratch);
             assert_eq!(format!("{fresh:?}"), format!("{scratch:?}"), "site {site}");
         }
     }
@@ -729,26 +711,28 @@ mod tests {
     #[test]
     fn root_path_orders_reflect_topology() {
         let m = m5();
+        let sm = SolverMatrix::new(&m);
         // Build ((0,2),1): insert 2 above leaf 0.
-        let t = PartialTree::<1>::cherry(&m).insert_next(&m, 0);
+        let t = PartialTree::<1>::cherry(&sm).insert_next(&sm, 0);
         // s = 2; path: joint above {0,2}, then root. 0 shares the joint
         // (order 0); 1 hangs off the root (order 1).
         let order = t.root_path_orders();
         assert_eq!(order, vec![0, 1]);
 
         // Build (0,(1,2)): insert 2 above leaf 1.
-        let t = PartialTree::<1>::cherry(&m).insert_next(&m, 1);
+        let t = PartialTree::<1>::cherry(&sm).insert_next(&sm, 1);
         assert_eq!(t.root_path_orders(), vec![1, 0]);
 
         // Insert 2 above the root: both 0 and 1 are one level up.
-        let t = PartialTree::<1>::cherry(&m).insert_next(&m, 5);
+        let t = PartialTree::<1>::cherry(&sm).insert_next(&sm, 5);
         assert_eq!(t.root_path_orders(), vec![0, 0]);
     }
 
     #[test]
     fn heights_are_minimal_after_each_insertion() {
         let m = m5();
-        let mut stack = vec![PartialTree::<1>::cherry(&m)];
+        let sm = SolverMatrix::new(&m);
+        let mut stack = vec![PartialTree::<1>::cherry(&sm)];
         while let Some(t) = stack.pop() {
             let mut ut = t.to_ultrametric();
             let refit = ut.fit_heights(&m);
@@ -759,7 +743,7 @@ mod tests {
             );
             if t.leaves_inserted() < 4 {
                 for site in t.insertion_sites().collect::<Vec<_>>() {
-                    stack.push(t.insert_next(&m, site));
+                    stack.push(t.insert_next(&sm, site));
                 }
             }
         }
@@ -770,7 +754,8 @@ mod tests {
     #[test]
     fn widths_agree_on_every_insertion_path() {
         let m = m5();
-        let mut stack = vec![(PartialTree::<1>::cherry(&m), PartialTree::<2>::cherry(&m))];
+        let sm = SolverMatrix::new(&m);
+        let mut stack = vec![(PartialTree::<1>::cherry(&sm), PartialTree::<2>::cherry(&sm))];
         while let Some((t1, t2)) = stack.pop() {
             assert_eq!(t1.weight(), t2.weight());
             assert_eq!(
@@ -779,23 +764,79 @@ mod tests {
             );
             if !t1.is_complete() {
                 for site in t1.insertion_sites().collect::<Vec<_>>() {
-                    stack.push((t1.insert_next(&m, site), t2.insert_next(&m, site)));
+                    stack.push((t1.insert_next(&sm, site), t2.insert_next(&sm, site)));
                 }
             }
         }
+    }
+
+    /// The naive oracle for the insertion walk: every live internal
+    /// node's height must equal a plain fold of `DistanceMatrix::get`
+    /// over the pairs its two child subtrees separate, floored by the
+    /// children's heights — bit for bit.
+    fn assert_heights_match_naive_fold<const K: usize>(t: &PartialTree<K>, m: &DistanceMatrix) {
+        let n = t.taxon_count();
+        let k = t.leaves_inserted();
+        for v in n..n + k - 1 {
+            let (l, r) = (t.left[v] as usize, t.right[v] as usize);
+            let (ll, rl) = (t.leafset[l], t.leafset[r]);
+            let cross = ll
+                .iter()
+                .flat_map(|x| rl.iter().map(move |y| m.get(x, y)))
+                .fold(0.0, f64::max)
+                / 2.0;
+            let want = t.height[l].max(t.height[r]).max(cross);
+            assert_eq!(t.height[v].to_bits(), want.to_bits(), "node {v} at k = {k}");
+        }
+    }
+
+    fn heights_match_naive_fold_on_every_path<const K: usize>() {
+        let m = m5();
+        let sm = SolverMatrix::new(&m);
+        let mut stack = vec![PartialTree::<K>::cherry(&sm)];
+        while let Some(t) = stack.pop() {
+            assert_heights_match_naive_fold(&t, &m);
+            if !t.is_complete() {
+                for site in t.insertion_sites().collect::<Vec<_>>() {
+                    stack.push(t.insert_next(&sm, site));
+                }
+            }
+        }
+        // Random insertion walks over a wider matrix: at K = 2 the
+        // sibling masks span both leaf words.
+        let n = if K == 1 { 40 } else { 90 };
+        let mut rng = StdRng::seed_from_u64(K as u64);
+        for _ in 0..4 {
+            use rand::Rng;
+            let m = mutree_distmat::gen::uniform_metric(n, 1.0, 50.0, &mut rng);
+            let sm = SolverMatrix::new(&m);
+            let mut t = PartialTree::<K>::cherry(&sm);
+            while !t.is_complete() {
+                let sites: Vec<u32> = t.insertion_sites().collect();
+                t = t.insert_next(&sm, sites[rng.gen_range(0..sites.len())]);
+                assert_heights_match_naive_fold(&t, &m);
+            }
+        }
+    }
+
+    #[test]
+    fn heights_match_naive_fold_of_matrix_entries() {
+        heights_match_naive_fold_on_every_path::<1>();
+        heights_match_naive_fold_on_every_path::<2>();
     }
 
     #[test]
     fn prop_masks_track_confinements_across_insertions() {
         use mutree_bnb::bound::{close_pair_table_len, CLOSE_WITH_HIGH, CLOSE_WITH_LOW};
         let m = m5();
+        let sm = SolverMatrix::new(&m);
         // Hand-built domains: only the (0, 1, u) triples constrain.
         let mut codes = vec![0u8; close_pair_table_len(5)];
         codes[triple_index(0, 1, 2)] = CLOSE_WITH_LOW; // 2 inside the 0-side of LCA(0,1)
         codes[triple_index(0, 1, 3)] = CLOSE_WITH_HIGH; // 3 inside the 1-side of LCA(0,1)
         let dom = ArmIndex::<1>::build(5, &TripleDomains::pack(&codes));
 
-        let mut t = PartialTree::<1>::cherry(&m);
+        let mut t = PartialTree::<1>::cherry(&sm);
         t.prop_activate();
         t.prop_advance(&dom);
         assert!(!t.prop_wiped());
@@ -805,7 +846,7 @@ mod tests {
 
         // Inserting 2 above leaf 1 replaces leaf 1 — the subtree 3 is
         // confined to — with the node {1, 2}: the mask must follow.
-        let mut above_leaf = t.insert_next(&m, 1);
+        let mut above_leaf = t.insert_next(&sm, 1);
         above_leaf.prop_advance(&dom);
         assert!(!above_leaf.prop_wiped());
         let grown = LeafWords::singleton(1).union(LeafWords::singleton(2));
@@ -814,7 +855,7 @@ mod tests {
 
         // Inserting 2 above the root leaves both LCA children intact:
         // no mask moves.
-        let mut above_root = t.insert_next(&m, 5);
+        let mut above_root = t.insert_next(&sm, 5);
         above_root.prop_advance(&dom);
         assert!(!above_root.prop_wiped());
         assert_eq!(above_root.prop_inside[3], LeafWords::singleton(1));
@@ -825,6 +866,7 @@ mod tests {
     fn prop_wipes_on_disjoint_confinements() {
         use mutree_bnb::bound::{close_pair_table_len, CLOSE_WITH_HIGH, CLOSE_WITH_LOW};
         let m = m5();
+        let sm = SolverMatrix::new(&m);
         let mut codes = vec![0u8; close_pair_table_len(5)];
         // 3 inside the 0-side of LCA(0,1) = {0} ...
         codes[triple_index(0, 1, 3)] = CLOSE_WITH_LOW;
@@ -833,29 +875,15 @@ mod tests {
         codes[triple_index(0, 2, 3)] = CLOSE_WITH_HIGH;
         let dom = ArmIndex::<1>::build(5, &TripleDomains::pack(&codes));
 
-        let mut t = PartialTree::<1>::cherry(&m);
+        let mut t = PartialTree::<1>::cherry(&sm);
         t.prop_activate();
         t.prop_advance(&dom);
         assert!(!t.prop_wiped());
         assert_eq!(t.prop_inside[3], LeafWords::singleton(0));
 
-        let mut child = t.insert_next(&m, 1);
+        let mut child = t.insert_next(&sm, 1);
         child.prop_advance(&dom);
         assert!(child.prop_wiped());
-    }
-
-    #[test]
-    fn prop_release_keeps_clones_cheap_and_inactive() {
-        let m = m5();
-        let mut t = PartialTree::<1>::cherry(&m);
-        assert!(!t.prop_is_active());
-        t.prop_activate();
-        assert!(t.prop_is_active());
-        let cloned = t.clone();
-        assert!(cloned.prop_is_active());
-        t.prop_release();
-        assert!(!t.prop_is_active());
-        assert!(!t.prop_wiped());
     }
 
     proptest! {
@@ -871,11 +899,12 @@ mod tests {
             use rand::Rng;
             let mut rng = StdRng::seed_from_u64(seed);
             let m = mutree_distmat::gen::uniform_metric(n, 1.0, 50.0, &mut rng);
-            let mut t = PartialTree::<2>::cherry(&m);
+            let sm = SolverMatrix::new(&m);
+            let mut t = PartialTree::<2>::cherry(&sm);
             while !t.is_complete() {
                 let sites: Vec<u32> = t.insertion_sites().collect();
                 let site = sites[rng.gen_range(0..sites.len())];
-                t = t.insert_next(&m, site);
+                t = t.insert_next(&sm, site);
 
                 // Check the consistency invariants on the whole arena.
                 let s = t.leaves_inserted() - 1;

@@ -44,7 +44,6 @@ impl From<MutSolution> for SolveReport {
             compact_sets: None,
             sim: sol.sim,
             leaf_words: None,
-            bound_kernel: None,
             prune: None,
         }
     }
@@ -64,7 +63,6 @@ impl From<PipelineSolution> for SolveReport {
             compact_sets: Some(sol.compact_sets),
             sim: None,
             leaf_words: None,
-            bound_kernel: None,
             prune: None,
         }
     }
@@ -184,10 +182,7 @@ pub fn plan_solver(plan: &SolvePlan) -> MutSolver {
     if let Some(w) = plan.leaf_words.filter(|w| LEAF_WIDTHS.contains(w)) {
         s = s.leaf_words(w);
     }
-    if let Some(k) = plan.bound_kernel {
-        s = s.bound_kernel(k);
-    }
-    if let Some(p) = plan.prune {
+    if let Some(p) = req.prune {
         s = s.prune(p);
     }
     if let Some(shards) = plan.frontier_shards {
@@ -292,7 +287,6 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
         SolveKind::Exact => {
             let solver = hooks.apply(plan_solver(plan));
             let leaf_words = solver.dispatch_leaf_words(m.len());
-            let bound_kernel = solver.dispatch_bound_kernel();
             let prune = solver.dispatch_prune();
             // Whole-solve memoization for explicitly cache-enabled exact
             // requests; the signature gate keeps constrained solves live.
@@ -333,7 +327,6 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
                             compact_sets: None,
                             sim: None,
                             leaf_words,
-                            bound_kernel: Some(bound_kernel),
                             prune: Some(prune),
                         });
                     }
@@ -368,7 +361,6 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
                 provenance,
             }];
             report.leaf_words = leaf_words;
-            report.bound_kernel = Some(bound_kernel);
             report.prune = Some(prune);
             Ok(report)
         }
@@ -417,14 +409,8 @@ mod tests {
         assert!(report.is_complete());
         assert_eq!(report.timings.len(), 1);
         assert_eq!(report.timings[0].stage, "exact");
-        // The report records what actually ran; with no plan override
-        // that is whatever an unconstrained solver dispatches to, so
-        // the assert stays valid under the forced-env CI legs.
-        assert_eq!(
-            report.bound_kernel,
-            Some(MutSolver::new().dispatch_bound_kernel())
-        );
-        assert_eq!(report.prune, Some(MutSolver::new().dispatch_prune()));
+        // The report records what actually ran.
+        assert_eq!(report.prune, Some(crate::PruneStrategy::Propagate));
         assert!(report.leaf_words.is_some());
         assert!(report.groups.is_none());
     }

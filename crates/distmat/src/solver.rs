@@ -26,7 +26,7 @@
 //! * **poisoned padding** — lanes `n..stride` of each row are `NaN` in
 //!   debug builds (zero in release). A kernel that ever lets padding
 //!   leak into a bound turns the result into `NaN`, which the debug
-//!   assertions and the differential tests catch immediately.
+//!   assertions and the oracle tests catch immediately.
 
 use crate::DistanceMatrix;
 
@@ -130,20 +130,6 @@ impl SolverMatrix {
         assert!(i < self.n && j < self.n, "taxon index out of bounds");
         self.buf[self.off + i * self.stride + j]
     }
-
-    /// Median of the three pairwise distances of a leaf triple, read
-    /// from the blocked rows — same value, bit for bit, as
-    /// [`DistanceMatrix::triple_med`], with the same max/min reduction
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an index is out of bounds.
-    #[inline]
-    pub fn triple_med(&self, i: usize, j: usize, s: usize) -> f64 {
-        let (a, b, c) = (self.get(i, j), self.get(i, s), self.get(j, s));
-        a.max(b).min(a.max(c)).min(b.max(c))
-    }
 }
 
 #[cfg(test)]
@@ -158,25 +144,6 @@ mod tests {
             vec![9.0, 9.0, 9.0, 0.0],
         ])
         .unwrap()
-    }
-
-    #[test]
-    fn triple_med_matches_between_backends() {
-        let m = sample();
-        let s = SolverMatrix::new(&m);
-        for k in 2..4 {
-            for j in 1..k {
-                for i in 0..j {
-                    let mut d = [m.get(i, j), m.get(i, k), m.get(j, k)];
-                    d.sort_by(f64::total_cmp);
-                    assert_eq!(m.triple_med(i, j, k).to_bits(), d[1].to_bits());
-                    assert_eq!(
-                        s.triple_med(i, j, k).to_bits(),
-                        m.triple_med(i, j, k).to_bits()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

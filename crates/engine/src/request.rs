@@ -16,9 +16,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mutree_bnb::{
-    BoundKernel, CheckpointPolicy, MemoryBudget, PruneStrategy, SearchMode, Strategy, TraceLevel,
-};
+use mutree_bnb::{CheckpointPolicy, MemoryBudget, PruneStrategy, SearchMode, Strategy, TraceLevel};
 use mutree_distmat::DistanceMatrix;
 use mutree_tree::Linkage;
 
@@ -200,11 +198,8 @@ pub struct SolveRequest {
     /// Forced leaf-bitset width in 64-bit words. `None` defers to
     /// `MUTREE_FORCE_LEAF_WORDS`, then to the narrowest fit.
     pub leaf_words: Option<usize>,
-    /// Forced bound-arithmetic kernel. `None` defers to
-    /// `MUTREE_FORCE_BOUND_KERNEL`, then to the default.
-    pub bound_kernel: Option<BoundKernel>,
-    /// Forced prune-stage strategy. `None` defers to
-    /// `MUTREE_FORCE_PRUNE`, then to the default (propagate).
+    /// Forced prune-stage strategy. `None` means the default
+    /// (propagate).
     pub prune: Option<PruneStrategy>,
     /// Forced work-stealing shard count. `None` defers to
     /// `MUTREE_FRONTIER_SHARDS`, then to the worker-derived policy.
@@ -251,7 +246,6 @@ impl SolveRequest {
             use_upgmm: true,
             threads: None,
             leaf_words: None,
-            bound_kernel: None,
             prune: None,
             frontier_shards: None,
             memory: None,
@@ -309,13 +303,7 @@ impl SolveRequest {
         self
     }
 
-    /// Forces the bound kernel (overrides the environment).
-    pub fn bound_kernel(mut self, kernel: BoundKernel) -> Self {
-        self.bound_kernel = Some(kernel);
-        self
-    }
-
-    /// Forces the prune-stage strategy (overrides the environment).
+    /// Forces the prune-stage strategy.
     pub fn prune(mut self, prune: PruneStrategy) -> Self {
         self.prune = Some(prune);
         self
@@ -390,15 +378,6 @@ impl SolveRequest {
         }
         if let Some(w) = self.leaf_words {
             line(format!("leaf-words {w}"));
-        }
-        if let Some(k) = self.bound_kernel {
-            line(format!(
-                "bound-kernel {}",
-                match k {
-                    BoundKernel::Scalar => "scalar",
-                    BoundKernel::Lanes => "lanes",
-                }
-            ));
         }
         if let Some(p) = self.prune {
             line(format!("prune {}", p.name()));
@@ -579,12 +558,6 @@ impl SolveRequest {
                 "upgmm" => req.use_upgmm = rest.trim() == "true",
                 "threads" => req.threads = Some(usize_arg()?),
                 "leaf-words" => req.leaf_words = Some(usize_arg()?),
-                "bound-kernel" => {
-                    req.bound_kernel = Some(
-                        BoundKernel::parse(rest)
-                            .ok_or_else(|| fail(ln, format!("unknown bound kernel {rest:?}")))?,
-                    )
-                }
                 "prune" => {
                     req.prune = Some(
                         PruneStrategy::parse(rest)
@@ -763,7 +736,6 @@ mod tests {
             .mode(SearchMode::AllOptimal)
             .threads(8)
             .leaf_words(2)
-            .bound_kernel(BoundKernel::Scalar)
             .prune(PruneStrategy::Propagate)
             .frontier_shards(16)
             .cache(true);
@@ -829,6 +801,14 @@ mod tests {
         assert_eq!(err.line, 2);
         let truncated = "mutree-request v1\nmatrix inline 4\nrow 0000000000000000\n";
         assert!(SolveRequest::decode(truncated).is_err());
+        // Knobs older clients may still send: the bound-kernel switch and
+        // the hybrid prune strategy no longer exist.
+        let encoded = SolveRequest::exact(sample_matrix()).encode();
+        for retired in ["bound-kernel lanes", "bound-kernel scalar", "prune hybrid"] {
+            let text = encoded.replacen('\n', &format!("\n{retired}\n"), 1);
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.line, 2, "{retired}: {err}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! provenance and degradation records — and corrupted documents must be
 //! rejected with a line-numbered error, never mis-decoded.
 
-use mutree_bnb::{BoundKernel, PruneStrategy, SearchStats, StopReason};
+use mutree_bnb::{PruneStrategy, SearchStats, StopReason};
 use mutree_engine::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, StageTiming};
 use mutree_tree::{codec, UltrametricTree};
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ fn build_report(
     timing_seconds: &[f64],
     degrade_idx: usize,
     pipelineish: bool,
-    kernel_idx: usize,
+    prune_idx: usize,
 ) -> SolveReport {
     let tree = caterpillar(steps);
     let n = steps.len() + 1;
@@ -118,15 +118,10 @@ fn build_report(
         compact_sets: pipelineish.then_some(n / 2),
         sim: None,
         leaf_words: (!pipelineish).then_some(1 + n / 64),
-        bound_kernel: (!pipelineish).then_some(if kernel_idx.is_multiple_of(2) {
-            BoundKernel::Scalar
+        prune: (!pipelineish).then_some(if prune_idx.is_multiple_of(2) {
+            PruneStrategy::WeightOnly
         } else {
-            BoundKernel::Lanes
-        }),
-        prune: (!pipelineish).then_some(match kernel_idx % 3 {
-            0 => PruneStrategy::WeightOnly,
-            1 => PruneStrategy::Propagate,
-            _ => PruneStrategy::Hybrid,
+            PruneStrategy::Propagate
         }),
     }
 }
@@ -141,7 +136,6 @@ fn assert_reports_identical(a: &SolveReport, b: &SolveReport) {
     assert_eq!(a.groups, b.groups);
     assert_eq!(a.compact_sets, b.compact_sets);
     assert_eq!(a.leaf_words, b.leaf_words);
-    assert_eq!(a.bound_kernel, b.bound_kernel);
     assert_eq!(a.prune, b.prune);
     assert_eq!(codec::encode_tree(&a.tree), codec::encode_tree(&b.tree));
     assert_eq!(a.trees.len(), b.trees.len());
@@ -171,7 +165,7 @@ proptest! {
         timing_seconds in proptest::collection::vec(0.0f64..1e4, 1..5),
         degrade_idx in 0usize..8,
         pipelineish in 0usize..2,
-        kernel_idx in 0usize..6,
+        prune_idx in 0usize..6,
     ) {
         let report = build_report(
             &steps,
@@ -181,7 +175,7 @@ proptest! {
             &timing_seconds,
             degrade_idx,
             pipelineish == 1,
-            kernel_idx,
+            prune_idx,
         );
         let text = report.encode();
         let back = SolveReport::decode(&text).expect("round trip decodes");
@@ -296,5 +290,12 @@ fn corrupt_headers_and_structure_are_rejected() {
             SolveReport::decode(case).is_err(),
             "corruption case {i} was wrongly accepted:\n{case}"
         );
+    }
+    // Lines an older server may still send: the bound-kernel switch and
+    // the hybrid prune strategy no longer exist.
+    for retired in ["bound-kernel lanes", "bound-kernel scalar", "prune hybrid"] {
+        let case = good.replacen('\n', &format!("\n{retired}\n"), 1);
+        let err = SolveReport::decode(&case).expect_err(retired);
+        assert_eq!(err.line, 2, "{retired}: {err}");
     }
 }

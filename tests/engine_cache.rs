@@ -122,55 +122,28 @@ proptest! {
 /// entry: cached reports replay the filing solve's search statistics
 /// (branched/pruned counts), which differ per strategy even though the
 /// optima are bit-identical. The signature therefore hashes the
-/// *dispatched* strategy — so an environment-forced strategy separates
-/// entries exactly like a builder-forced one.
+/// *dispatched* strategy.
 #[test]
 fn cache_sig_separates_prune_strategies() {
-    let strategies = [
-        PruneStrategy::WeightOnly,
-        PruneStrategy::Propagate,
-        PruneStrategy::Hybrid,
-    ];
-    let sigs: Vec<u64> = strategies
-        .iter()
-        .map(|&p| {
-            MutSolver::new()
-                .prune(p)
-                .cache_sig()
-                .expect("unconstrained solver is cacheable")
-        })
-        .collect();
-    for (i, a) in sigs.iter().enumerate() {
-        for (j, b) in sigs.iter().enumerate() {
-            if i != j {
-                assert_ne!(
-                    a, b,
-                    "{:?} and {:?} share a signature",
-                    strategies[i], strategies[j]
-                );
-            }
-        }
-    }
-    // An unforced solver files under whatever it would dispatch to
-    // (Propagate, unless MUTREE_FORCE_PRUNE redirects the whole
-    // process).
-    let dispatched = MutSolver::new().dispatch_prune();
+    let sig = |p| {
+        MutSolver::new()
+            .prune(p)
+            .cache_sig()
+            .expect("unconstrained solver is cacheable")
+    };
+    assert_ne!(
+        sig(PruneStrategy::WeightOnly),
+        sig(PruneStrategy::Propagate)
+    );
+    // An unforced solver files under what it dispatches to: Propagate.
     assert_eq!(
         MutSolver::new().cache_sig(),
-        MutSolver::new().prune(dispatched).cache_sig()
+        Some(sig(PruneStrategy::Propagate))
     );
-    // The bound kernel stays deliberately unhashed: both kernels run
-    // bit-identical searches with identical statistics, so sharing
-    // entries across them is sound (and keeps the cache warm when a
-    // bench toggles kernels).
-    assert_eq!(
-        MutSolver::new()
-            .bound_kernel(mutree::core::BoundKernel::Scalar)
-            .cache_sig(),
-        MutSolver::new()
-            .bound_kernel(mutree::core::BoundKernel::Lanes)
-            .cache_sig()
-    );
+    // Strategy codes 0 and 1 are part of every stored key: pin the
+    // resulting signatures so existing cache entries stay addressable.
+    assert_eq!(sig(PruneStrategy::WeightOnly), 0x07fd_87b1_9157_3a2a);
+    assert_eq!(sig(PruneStrategy::Propagate), 0x07fd_88b1_9157_3bdd);
 }
 
 /// A corrupted cache entry fails its checksum on probe: it is evicted,

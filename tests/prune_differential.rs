@@ -1,16 +1,15 @@
 //! Differential agreement between the prune-stage strategies: the
-//! weight-only search, the always-on constraint-propagation search, and
-//! the hybrid (shallow-prefix propagation) search must all find *the
-//! same answer* — identical optimum weight to the bit and identical
-//! topology (RF = 0) — on every driver and at every monomorphized leaf
-//! width. Propagation is a valid-lower-bound tightening plus a pure 3-3
-//! look-ahead, so it may only discard nodes whose completions the weight
-//! prune (or the 3-3 feasibility check) would reject anyway; it must
-//! also never *widen* the sequential search.
+//! weight-only search (the reference) and the constraint-propagation
+//! search must find *the same answer* — identical optimum weight to the
+//! bit and identical topology (RF = 0) — on every driver and at every
+//! monomorphized leaf width. Propagation is a pure 3-3 look-ahead, so it
+//! may only discard nodes whose completions the 3-3 feasibility check
+//! would reject anyway; it must also never *widen* the sequential
+//! search.
 //!
 //! `ThreeThree::Full` cases are included deliberately: that is the only
-//! configuration where the triple-domain arm-wipeout masks are active,
-//! so without it the sweep would exercise the height-floor bound alone.
+//! configuration where the triple-domain arm-wipeout masks are active.
+//! Without it the two strategies must run the same search node for node.
 
 use mutree::clustersim::ClusterSpec;
 use mutree::core::{MutSolver, PruneStrategy, SearchBackend, ThreeThree};
@@ -20,8 +19,6 @@ use mutree::tree::compare::robinson_foulds;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const STRATEGIES: [PruneStrategy; 2] = [PruneStrategy::Propagate, PruneStrategy::Hybrid];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -38,39 +35,41 @@ proptest! {
         let m = gen::perturbed_ultrametric(n, 60.0, 0.08, &mut rng);
         let rule = if full_33 { ThreeThree::Full } else { ThreeThree::Off };
         for words in [1usize, 2, 4] {
-            let base = MutSolver::new()
-                .leaf_words(words)
-                .three_three(rule)
-                .prune(PruneStrategy::WeightOnly)
-                .solve(&m)
-                .unwrap();
-            for p in STRATEGIES {
-                let sol = MutSolver::new()
+            let solve = |p| {
+                MutSolver::new()
                     .leaf_words(words)
                     .three_three(rule)
                     .prune(p)
                     .solve(&m)
-                    .unwrap();
-                prop_assert!(sol.is_complete(), "K={words} {rule:?} {p:?}");
-                prop_assert_eq!(
-                    base.weight.to_bits(), sol.weight.to_bits(),
-                    "K={} {:?} {:?}: weight differs", words, rule, p
-                );
-                prop_assert_eq!(
-                    robinson_foulds(&base.tree, &sol.tree).unwrap(), 0,
-                    "K={} {:?} {:?}: topologies differ", words, rule, p
-                );
-                prop_assert!(
-                    sol.stats.branched <= base.stats.branched,
-                    "K={} {:?} {:?}: propagation widened the search ({} > {})",
-                    words, rule, p, sol.stats.branched, base.stats.branched
-                );
+                    .unwrap()
+            };
+            let base = solve(PruneStrategy::WeightOnly);
+            let sol = solve(PruneStrategy::Propagate);
+            prop_assert!(sol.is_complete(), "K={words} {rule:?}");
+            prop_assert_eq!(
+                base.weight.to_bits(), sol.weight.to_bits(),
+                "K={} {:?}: weight differs", words, rule
+            );
+            prop_assert_eq!(
+                robinson_foulds(&base.tree, &sol.tree).unwrap(), 0,
+                "K={} {:?}: topologies differ", words, rule
+            );
+            prop_assert!(
+                sol.stats.branched <= base.stats.branched,
+                "K={} {:?}: propagation widened the search ({} > {})",
+                words, rule, sol.stats.branched, base.stats.branched
+            );
+            if !full_33 {
+                // No arm masks without the Full rule: the same search.
+                prop_assert_eq!(sol.stats.branched, base.stats.branched, "K={}", words);
+                prop_assert_eq!(sol.stats.pruned, base.stats.pruned, "K={}", words);
+                prop_assert_eq!(sol.stats.propagation_pruned, 0, "K={}", words);
             }
         }
     }
 
     /// The thread-parallel and simulated-cluster drivers agree on the
-    /// optimum under every strategy (parallel expansion order is
+    /// optimum under propagation (parallel expansion order is
     /// scheduling-dependent, so the cross-driver contract is optimum +
     /// completeness; the deterministic sim also pins topology).
     #[test]
@@ -86,36 +85,34 @@ proptest! {
             .prune(PruneStrategy::WeightOnly)
             .solve(&m)
             .unwrap();
-        for p in STRATEGIES {
-            let par = MutSolver::new()
-                .three_three(rule)
-                .prune(p)
-                .backend(SearchBackend::Parallel { workers: 4 })
-                .solve(&m)
-                .unwrap();
-            prop_assert!(par.is_complete(), "parallel {rule:?} {p:?}");
-            prop_assert_eq!(
-                base.weight.to_bits(), par.weight.to_bits(),
-                "parallel {:?} {:?}: weight differs", rule, p
-            );
-            let sim = MutSolver::new()
-                .three_three(rule)
-                .prune(p)
-                .backend(SearchBackend::SimulatedCluster {
-                    spec: ClusterSpec::with_slaves(3),
-                })
-                .solve(&m)
-                .unwrap();
-            prop_assert!(sim.is_complete(), "sim {rule:?} {p:?}");
-            prop_assert_eq!(
-                base.weight.to_bits(), sim.weight.to_bits(),
-                "sim {:?} {:?}: weight differs", rule, p
-            );
-            prop_assert_eq!(
-                robinson_foulds(&base.tree, &sim.tree).unwrap(), 0,
-                "sim {:?} {:?}: topologies differ", rule, p
-            );
-        }
+        let par = MutSolver::new()
+            .three_three(rule)
+            .prune(PruneStrategy::Propagate)
+            .backend(SearchBackend::Parallel { workers: 4 })
+            .solve(&m)
+            .unwrap();
+        prop_assert!(par.is_complete(), "parallel {rule:?}");
+        prop_assert_eq!(
+            base.weight.to_bits(), par.weight.to_bits(),
+            "parallel {:?}: weight differs", rule
+        );
+        let sim = MutSolver::new()
+            .three_three(rule)
+            .prune(PruneStrategy::Propagate)
+            .backend(SearchBackend::SimulatedCluster {
+                spec: ClusterSpec::with_slaves(3),
+            })
+            .solve(&m)
+            .unwrap();
+        prop_assert!(sim.is_complete(), "sim {rule:?}");
+        prop_assert_eq!(
+            base.weight.to_bits(), sim.weight.to_bits(),
+            "sim {:?}: weight differs", rule
+        );
+        prop_assert_eq!(
+            robinson_foulds(&base.tree, &sim.tree).unwrap(), 0,
+            "sim {:?}: topologies differ", rule
+        );
     }
 }
 
@@ -131,58 +128,31 @@ fn propagation_shrinks_the_search_on_sequence_workloads() {
         .prune(PruneStrategy::WeightOnly)
         .solve(&m)
         .unwrap();
-    for p in STRATEGIES {
-        let sol = MutSolver::new()
-            .three_three(ThreeThree::Full)
-            .prune(p)
-            .solve(&m)
-            .unwrap();
-        assert_eq!(base.weight.to_bits(), sol.weight.to_bits(), "{p:?}");
-        assert_eq!(robinson_foulds(&base.tree, &sol.tree).unwrap(), 0, "{p:?}");
-        assert!(sol.stats.branched <= base.stats.branched, "{p:?}");
-        assert_eq!(base.stats.propagation_pruned, 0);
-    }
-}
-
-/// The env hook forces the strategy process-wide; the builder overrides
-/// it when both are set, and junk values mean no override. Env mutation
-/// is confined to this one test (same discipline as the bound-kernel
-/// differential file).
-#[test]
-fn env_hook_forces_prune_strategy() {
-    let mut rng = StdRng::seed_from_u64(6);
-    let m = gen::uniform_metric(8, 1.0, 100.0, &mut rng);
-    let solver = MutSolver::new();
-    let prior = std::env::var_os("MUTREE_FORCE_PRUNE");
-    std::env::remove_var("MUTREE_FORCE_PRUNE");
-    assert_eq!(solver.dispatch_prune(), PruneStrategy::Propagate);
-
-    std::env::set_var("MUTREE_FORCE_PRUNE", "weight");
-    assert_eq!(solver.dispatch_prune(), PruneStrategy::WeightOnly);
-    let forced = solver.solve(&m).unwrap();
-    // Builder beats env.
-    assert_eq!(
-        solver
-            .clone()
-            .prune(PruneStrategy::Propagate)
-            .dispatch_prune(),
-        PruneStrategy::Propagate
-    );
-    std::env::set_var("MUTREE_FORCE_PRUNE", "propagate");
-    assert_eq!(solver.dispatch_prune(), PruneStrategy::Propagate);
-    // Junk values mean no override.
-    std::env::set_var("MUTREE_FORCE_PRUNE", "clairvoyant");
-    assert_eq!(solver.dispatch_prune(), PruneStrategy::Propagate);
-    match prior {
-        Some(v) => std::env::set_var("MUTREE_FORCE_PRUNE", v),
-        None => std::env::remove_var("MUTREE_FORCE_PRUNE"),
-    }
-
-    let baseline = MutSolver::new()
-        .prune(PruneStrategy::WeightOnly)
+    let sol = MutSolver::new()
+        .three_three(ThreeThree::Full)
+        .prune(PruneStrategy::Propagate)
         .solve(&m)
         .unwrap();
-    assert_eq!(forced.weight.to_bits(), baseline.weight.to_bits());
-    assert_eq!(forced.stats.branched, baseline.stats.branched);
-    assert_eq!(robinson_foulds(&forced.tree, &baseline.tree).unwrap(), 0);
+    assert_eq!(base.weight.to_bits(), sol.weight.to_bits());
+    assert_eq!(robinson_foulds(&base.tree, &sol.tree).unwrap(), 0);
+    assert!(sol.stats.branched <= base.stats.branched);
+    assert_eq!(base.stats.propagation_pruned, 0);
+}
+
+/// Propagation is the default; the builder selects the weight-only
+/// reference, which finds the same optimum with no propagation prunes.
+#[test]
+fn builder_selects_prune_strategy() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let m = gen::uniform_metric(8, 1.0, 100.0, &mut rng);
+    let solver = MutSolver::new().three_three(ThreeThree::Full);
+    assert_eq!(solver.dispatch_prune(), PruneStrategy::Propagate);
+    let weight_only = solver.clone().prune(PruneStrategy::WeightOnly);
+    assert_eq!(weight_only.dispatch_prune(), PruneStrategy::WeightOnly);
+
+    let base = weight_only.solve(&m).unwrap();
+    let sol = solver.solve(&m).unwrap();
+    assert_eq!(base.stats.propagation_pruned, 0);
+    assert_eq!(sol.weight.to_bits(), base.weight.to_bits());
+    assert_eq!(robinson_foulds(&sol.tree, &base.tree).unwrap(), 0);
 }
