@@ -1,34 +1,17 @@
-//! `exp_frontier` — the sharded work-stealing frontier against the
-//! retired global-mutex pool it replaced, on a batch of block-clustered
-//! instances, at 1/2/4/8 worker threads.
+//! `exp_frontier` — the thread-parallel driver (the sharded work-stealing
+//! frontier on a persistent [`Executor`], the production configuration)
+//! on a batch of block-clustered instances, at 1/2/4/8 worker threads.
 //!
 //! The workload mirrors how the parallel driver is actually used: the
 //! compact-set pipeline dispatches *many* group-sized subproblem solves,
-//! not one giant search. Three drivers run the identical batch:
-//!
-//! * `global` — the first-generation driver exactly as it shipped: one
-//!   mutex-guarded pool, per-node donation under the lock, a fresh
-//!   `thread::scope` spawn per solve;
-//! * `scoped` — the sharded work-stealing frontier, same per-solve spawn;
-//! * `pooled` — the sharded frontier on a persistent [`Executor`], the
-//!   production configuration. A shared pool was not possible with the
-//!   global design (its termination test assumed dedicated threads), so
-//!   this column is the architectural payoff of the new frontier.
-//!
-//! All drivers must report the same optimum on every instance. On a host
-//! with fewer cores than workers the per-node synchronization difference
-//! between `global` and `scoped` is within measurement noise (both are
-//! dominated by bound arithmetic; see the DESIGN.md §3.8 caveat) — the
-//! robust separation is `global` vs `pooled`, where the retired driver
-//! pays a full spawn-and-join cycle per solve and the new one pays a
-//! batch handoff to already-parked workers.
+//! not one giant search. Every instance must report the same optimum as
+//! [`solve_sequential`]; the steal/donate/park counters show how much the
+//! frontier's load balancing works at each width.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use mutree_bnb::{
-    solve_parallel, solve_parallel_global, solve_parallel_pooled, SearchMode, SearchOptions,
-};
+use mutree_bnb::{solve_parallel, solve_sequential, SearchMode, SearchOptions};
 use mutree_core::{Executor, MutProblem, ThreeThree};
 
 use crate::data;
@@ -39,36 +22,18 @@ use crate::report::{fmt_secs, Table};
 /// enough that one batch stays near a second.
 const BATCH: usize = 400;
 
-/// Interleaved repetitions per thread count; each driver's cell is the
-/// best of its reps, and the drivers alternate within a rep so slow host
-/// phases hit all three equally.
+/// Repetitions per thread count; the cell is the best of them.
 const REPS: usize = 4;
 
-/// One timed batch run, folded into a running best-of; returns the
-/// per-instance optima for the agreement check.
-fn timed_batch<F: FnMut(&Arc<MutProblem>) -> Option<f64>>(
-    best: &mut f64,
-    problems: &[Arc<MutProblem>],
-    mut solve: F,
-) -> Vec<Option<f64>> {
-    let t0 = Instant::now();
-    let optima: Vec<Option<f64>> = problems.iter().map(&mut solve).collect();
-    *best = best.min(t0.elapsed().as_secs_f64());
-    optima
-}
-
-/// `exp_frontier` — batch wall-clock for the three driver generations at
-/// 1/2/4/8 workers, plus the sharded driver's contention counters.
+/// `exp_frontier` — batch wall-clock of the parallel driver at 1/2/4/8
+/// workers, plus its contention counters.
 pub fn exp_frontier() -> Table {
     let mut t = Table::new(
         "exp_frontier",
-        "parallel frontier: global-mutex pool vs sharded work stealing, batch of 400 clustered solves (interleaved best of 4)",
+        "parallel driver: sharded work-stealing frontier on a shared executor, batch of 400 clustered solves (best of 4)",
         &[
             "threads",
-            "global",
-            "scoped",
-            "pooled",
-            "speedup",
+            "batch_s",
             "same_optimum",
             "steals",
             "donations",
@@ -92,44 +57,39 @@ pub fn exp_frontier() -> Table {
         .collect();
     assert_eq!(problems.len(), BATCH);
     let opts = SearchOptions::new(SearchMode::BestOne);
+    let reference: Vec<Option<f64>> = problems
+        .iter()
+        .map(|p| solve_sequential(&**p, &opts).best_value)
+        .collect();
 
     for threads in [1usize, 2, 4, 8] {
         let exec = Executor::new(threads);
-        let (mut global_s, mut scoped_s, mut pooled_s) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        let mut global_opt = Vec::new();
-        let mut scoped_opt = Vec::new();
-        let mut pooled_opt = Vec::new();
+        let mut best = f64::INFINITY;
+        let mut same = true;
         let (mut steals, mut donations, mut parks) = (0u64, 0u64, 0u64);
         for _ in 0..REPS {
-            global_opt = timed_batch(&mut global_s, &problems, |p| {
-                solve_parallel_global(&**p, &opts, threads).best_value
-            });
-            scoped_opt = timed_batch(&mut scoped_s, &problems, |p| {
-                solve_parallel(&**p, &opts, threads).best_value
-            });
-            // Counters are reported for the production (pooled) driver,
-            // summed over the batch of the last repetition.
+            // Counters are summed over the batch of the last repetition.
             (steals, donations, parks) = (0, 0, 0);
-            pooled_opt = timed_batch(&mut pooled_s, &problems, |p| {
-                let out = solve_parallel_pooled(Arc::clone(p), &opts, threads, &exec, ());
-                steals += out.stats.steals;
-                donations += out.stats.donations;
-                parks += out.stats.parks;
-                out.best_value
-            });
-        }
-        let same = global_opt.len() == BATCH
-            && (0..BATCH).all(|i| match (global_opt[i], scoped_opt[i], pooled_opt[i]) {
-                (Some(g), Some(s), Some(p)) => (g - s).abs() < 1e-9 && (g - p).abs() < 1e-9,
+            let t0 = Instant::now();
+            let optima: Vec<Option<f64>> = problems
+                .iter()
+                .map(|p| {
+                    let out = solve_parallel(Arc::clone(p), &opts, threads, &exec, ());
+                    steals += out.stats.steals;
+                    donations += out.stats.donations;
+                    parks += out.stats.parks;
+                    out.best_value
+                })
+                .collect();
+            best = best.min(t0.elapsed().as_secs_f64());
+            same &= optima.iter().zip(&reference).all(|pair| match pair {
+                (Some(p), Some(s)) => (p - s).abs() < 1e-9,
                 _ => false,
             });
+        }
         t.push(vec![
             threads.to_string(),
-            fmt_secs(global_s),
-            fmt_secs(scoped_s),
-            fmt_secs(pooled_s),
-            format!("{:.2}", global_s / pooled_s.max(1e-12)),
+            fmt_secs(best),
             same.to_string(),
             steals.to_string(),
             donations.to_string(),

@@ -21,9 +21,12 @@
 //! under the parallel driver expansion order is scheduling-dependent, so
 //! those rows report wall-clock plus last-rep node counts.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use mutree_bnb::{solve_parallel, solve_sequential, BoundKernel, SearchMode, SearchOptions};
+use mutree_bnb::{
+    solve_parallel, solve_sequential, BoundKernel, SearchMode, SearchOptions, SpawnPool,
+};
 use mutree_core::{MutProblem, PruneStrategy, ThreeThree};
 
 use crate::data;
@@ -43,14 +46,18 @@ const REPS: usize = 4;
 type Outcome = (Option<u64>, u64, u64);
 
 /// One timed batch pass under one strategy at one thread count.
-fn run_batch(problems: &[MutProblem<1>], opts: &SearchOptions, threads: usize) -> Vec<Outcome> {
+fn run_batch(
+    problems: &[Arc<MutProblem<1>>],
+    opts: &SearchOptions,
+    threads: usize,
+) -> Vec<Outcome> {
     problems
         .iter()
         .map(|p| {
             let out = if threads == 1 {
-                solve_sequential(p, opts)
+                solve_sequential(&**p, opts)
             } else {
-                solve_parallel(p, opts, threads)
+                solve_parallel(Arc::clone(p), opts, threads, &SpawnPool, ())
             };
             (
                 out.best_value.map(f64::to_bits),
@@ -89,17 +96,17 @@ pub fn exp_propagate() -> Table {
         .map(|m| m.maxmin_permutation().apply(&m))
         .collect();
     assert_eq!(matrices.len(), BATCH);
-    let build = |prune: PruneStrategy| -> Vec<MutProblem<1>> {
+    let build = |prune: PruneStrategy| -> Vec<Arc<MutProblem<1>>> {
         matrices
             .iter()
             .map(|pm| {
-                MutProblem::<1>::with_config(
+                Arc::new(MutProblem::<1>::with_config(
                     pm,
                     ThreeThree::Full,
                     true,
                     BoundKernel::default(),
                     prune,
-                )
+                ))
             })
             .collect()
     };

@@ -1,35 +1,31 @@
-//! The sharded work-stealing frontier behind the thread-parallel drivers.
+//! The sharded work-stealing frontier behind the thread-parallel driver.
 //!
-//! The first-generation parallel driver kept every open node in one
-//! `Mutex<Vec<N>>` guarded by a single condvar: every donation and every
-//! starved worker serialized on the same lock, and a worker that found
-//! the pool empty fell back to a fixed 25 ms timed poll. This module
-//! replaces that with the scheme the HPC Asia 2005 master/slave design
-//! points at — keep work local, touch shared state only at batch
-//! boundaries:
+//! A single `Mutex<Vec<N>>` pool with one condvar makes every donation and
+//! every starved worker serialize on the same lock. This module follows
+//! the scheme the HPC Asia 2005 master/slave design points at instead —
+//! keep work local, touch shared state only at batch boundaries:
 //!
 //! * each worker owns a **local LIFO stack** ([`WorkerFrontier`], a
 //!   [`Frontier`] impl) and dives depth-first on its own children, so the
 //!   per-node expansion fast path acquires **no mutex at all**;
-//! * surplus nodes are **donated in batches** to one of `S` sharded
-//!   overflow pools (`S` chosen from the worker count, overridable via
-//!   [`SearchOptions::frontier_shards`](crate::SearchOptions::frontier_shards),
-//!   which callers resolve from the `MUTREE_FRONTIER_SHARDS` environment
-//!   hook), and only when a peer is actually parked waiting for work;
+//! * the master's seeds and later surplus nodes go to one of `S` sharded
+//!   overflow pools (`S` derived from the worker count: the next power of
+//!   two, capped at 16); surplus is **donated in batches**, and only when
+//!   a peer is actually parked waiting for work;
 //! * a starved worker sweeps the shards in a **randomized victim order**
 //!   (seeded deterministically from its worker ordinal) and **steals half
 //!   a victim's batch** in one lock acquisition;
 //! * **termination** is an atomic *in-flight* node counter — queued plus
 //!   currently-expanding nodes — that hits zero exactly when the search
-//!   tree is exhausted, replacing the old `idle == alive` condvar dance;
+//!   tree is exhausted, so no worker has to register or be counted idle;
 //! * a worker that finds every shard empty **parks on an eventcount**
 //!   (an atomic generation counter plus a condvar) instead of polling.
 //!
 //! # The parking protocol has no missed wakeups
 //!
-//! The old 25 ms poll existed to bound the cost of a lost notification.
-//! The eventcount removes the race entirely, so the missed-wakeup bound
-//! is **zero** and no timed wait remains anywhere in the driver. Proof
+//! A timed poll would only bound the cost of a lost notification; the
+//! eventcount removes the race entirely, so the missed-wakeup bound is
+//! **zero** and no timed wait exists anywhere in the driver. Proof
 //! sketch (all four accesses are `SeqCst`, so they have one total order):
 //!
 //! 1. a parker loads the generation `e = events`, re-sweeps every shard,
@@ -60,11 +56,9 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::kernel::{shed_worst_from_stack, Frontier, SearchEvent, SearchObserver};
 
-/// Hard ceiling on the shard count (also the cap for the
-/// [`SearchOptions::frontier_shards`](crate::SearchOptions::frontier_shards)
-/// override). More shards than this buys nothing: steals sweep every
-/// shard, so the sweep cost is linear in it.
-const MAX_SHARDS: usize = 64;
+/// Ceiling on the shard count. More shards than this buys nothing: steals
+/// sweep every shard, so the sweep cost is linear in it.
+const MAX_SHARDS: usize = 16;
 
 /// A worker only donates when its local stack holds at least this many
 /// nodes, so it always keeps a meaningful depth-first runway for itself.
@@ -106,10 +100,15 @@ pub struct ShardedFrontier<N> {
 }
 
 impl<N> ShardedFrontier<N> {
-    /// A frontier with exactly `shards` overflow pools (clamped to
-    /// `1..=MAX_SHARDS`).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.clamp(1, MAX_SHARDS);
+    /// A frontier sized for `workers` threads: the next power of two ≥
+    /// `workers`, capped at 16 — enough that donors rarely collide on a
+    /// shard, small enough that a steal sweep stays cheap.
+    pub fn for_workers(workers: usize) -> Self {
+        ShardedFrontier::new(workers.clamp(1, MAX_SHARDS).next_power_of_two())
+    }
+
+    /// A frontier with exactly `shards` (≥ 1) overflow pools.
+    fn new(shards: usize) -> Self {
         ShardedFrontier {
             shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             in_flight: AtomicU64::new(0),
@@ -121,21 +120,6 @@ impl<N> ShardedFrontier<N> {
             park_cv: Condvar::new(),
             next_worker: AtomicU64::new(0),
         }
-    }
-
-    /// A frontier sized for `workers` threads: the next power of two ≥
-    /// `workers`, capped at 16 — enough that donors rarely collide on a
-    /// shard, small enough that a steal sweep stays cheap.
-    pub fn for_workers(workers: usize) -> Self {
-        ShardedFrontier::for_workers_with(workers, None)
-    }
-
-    /// [`for_workers`](Self::for_workers) with an explicit shard-count
-    /// override (clamped to `1..=64`; zero means no override). Drivers
-    /// pass [`SearchOptions::frontier_shards`](crate::SearchOptions::frontier_shards)
-    /// here, which CI forces to the maximum to stress sharding.
-    pub fn for_workers_with(workers: usize, shards: Option<usize>) -> Self {
-        ShardedFrontier::new(shard_count_with(shards, workers))
     }
 
     /// Number of overflow shards.
@@ -150,23 +134,17 @@ impl<N> ShardedFrontier<N> {
         self.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Charges `n` nodes to the in-flight counter *without* queueing them
-    /// anywhere — used by the scoped driver, whose seeds are pre-dealt to
-    /// the workers' local stacks. Must happen before any worker starts,
-    /// so the counter can never transiently read zero mid-search.
-    pub fn charge(&self, n: u64) {
-        self.in_flight.fetch_add(n, Ordering::SeqCst);
-    }
-
     /// Seeds the shards round-robin with `nodes` (already sorted most
     /// promising first, so each shard's front holds its best seed) and
-    /// charges them in flight. Used by the pooled driver, whose workers
-    /// start with empty local stacks and steal their first batch.
+    /// charges them in flight. Workers start with empty local stacks and
+    /// steal their first batch. Call before any worker starts, so the
+    /// in-flight counter can never transiently read zero mid-search.
     pub fn seed(&self, nodes: Vec<N>) {
         if nodes.is_empty() {
             return;
         }
-        self.charge(nodes.len() as u64);
+        self.in_flight
+            .fetch_add(nodes.len() as u64, Ordering::SeqCst);
         self.pooled.fetch_add(nodes.len() as u64, Ordering::SeqCst);
         for (i, node) in nodes.into_iter().enumerate() {
             lock(&self.shards[i % self.shards.len()]).push(node);
@@ -185,11 +163,12 @@ impl<N> ShardedFrontier<N> {
     }
 
     /// Atomically converts one finished parent's in-flight unit into
-    /// `kept` child units — the netted form of `charge(kept)` followed by
-    /// [`finish_node`](Self::finish_node). The counter moves in a single
-    /// transition, so it still can never transiently read zero under a
-    /// live expansion, and in the common tight-search case of exactly one
-    /// surviving child the fast path touches no shared state at all.
+    /// `kept` child units — the netted form of adding `kept` and then
+    /// calling [`finish_node`](Self::finish_node). The counter moves in a
+    /// single transition, so it still can never transiently read zero
+    /// under a live expansion, and in the common tight-search case of
+    /// exactly one surviving child the fast path touches no shared state
+    /// at all.
     pub fn settle(&self, kept: u64) {
         match kept {
             1 => {}
@@ -245,19 +224,6 @@ impl<N> ShardedFrontier<N> {
     }
 }
 
-/// Shard count policy: an explicit override (clamped to `1..=64`; zero
-/// ignored), else the next power of two ≥ `workers`, capped at 16. Pure:
-/// the `MUTREE_FRONTIER_SHARDS` environment hook is resolved into the
-/// override by the engine crate's plan resolution, never here.
-fn shard_count_with(override_shards: Option<usize>, workers: usize) -> usize {
-    if let Some(n) = override_shards {
-        if n >= 1 {
-            return n.min(MAX_SHARDS);
-        }
-    }
-    workers.clamp(1, 16).next_power_of_two()
-}
-
 /// One worker's view of a [`ShardedFrontier`]: the local LIFO stack (a
 /// [`Frontier`], so [`Expander::expand`](crate::kernel::Expander::expand)
 /// absorbs children straight into it) plus the steal/donate/park
@@ -283,15 +249,13 @@ pub struct WorkerFrontier<'a, N> {
 }
 
 impl<'a, N> WorkerFrontier<'a, N> {
-    /// Registers a worker with `shared`, starting from the pre-dealt
-    /// `local` stack (empty for pooled workers, which steal their first
-    /// batch instead). The nodes in `local` must already be charged in
-    /// flight via [`ShardedFrontier::charge`].
-    pub fn new(shared: &'a ShardedFrontier<N>, local: Vec<N>) -> Self {
+    /// Registers a worker with `shared`. Its local stack starts empty: the
+    /// first [`acquire`](Self::acquire) steals a batch.
+    pub fn new(shared: &'a ShardedFrontier<N>) -> Self {
         let ordinal = shared.next_worker.fetch_add(1, Ordering::Relaxed);
         WorkerFrontier {
             shared,
-            local,
+            local: Vec::new(),
             home: (ordinal as usize) % shared.shards.len(),
             // Any non-degenerate per-ordinal seed works; the golden-ratio
             // stride keeps consecutive ordinals' victim orders unrelated.
@@ -461,15 +425,12 @@ mod tests {
 
     #[test]
     fn shard_count_policy() {
-        assert_eq!(shard_count_with(None, 1), 1);
-        assert_eq!(shard_count_with(None, 3), 4);
-        assert_eq!(shard_count_with(None, 8), 8);
-        assert_eq!(shard_count_with(None, 100), 16);
-        assert_eq!(shard_count_with(Some(6), 100), 6);
-        assert_eq!(shard_count_with(Some(9999), 1), MAX_SHARDS);
-        assert_eq!(shard_count_with(Some(0), 3), 4);
-        assert_eq!(ShardedFrontier::<u32>::new(0).shard_count(), 1);
-        assert_eq!(ShardedFrontier::<u32>::new(1000).shard_count(), 64);
+        let shards = |workers| ShardedFrontier::<u32>::for_workers(workers).shard_count();
+        assert_eq!(shards(0), 1);
+        assert_eq!(shards(1), 1);
+        assert_eq!(shards(3), 4);
+        assert_eq!(shards(8), 8);
+        assert_eq!(shards(100), MAX_SHARDS);
     }
 
     #[test]
@@ -488,7 +449,7 @@ mod tests {
     fn steal_half_takes_the_front() {
         let f: ShardedFrontier<u32> = ShardedFrontier::new(1);
         f.seed(vec![10, 11, 12, 13]);
-        let mut w = WorkerFrontier::new(&f, Vec::new());
+        let mut w = WorkerFrontier::new(&f);
         // 4 queued: the thief takes ⌈4/2⌉ = 2 from the front and returns
         // the oldest first.
         assert_eq!(w.try_steal(&mut ()), Some(10));
@@ -509,7 +470,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let mut w = WorkerFrontier::new(&f, Vec::new());
+                    let mut w = WorkerFrontier::new(&f);
                     let mut obs = ();
                     loop {
                         let node = match w.pop() {
@@ -538,7 +499,7 @@ mod tests {
         let f: ShardedFrontier<u32> = ShardedFrontier::new(1);
         std::thread::scope(|s| {
             let h = s.spawn(|| {
-                let mut w = WorkerFrontier::new(&f, Vec::new());
+                let mut w = WorkerFrontier::new(&f);
                 // Blocks until close; must return None, not hang.
                 w.acquire(&mut ())
             });
@@ -551,16 +512,20 @@ mod tests {
     #[test]
     fn park_wakes_on_donation() {
         let f: ShardedFrontier<u32> = ShardedFrontier::new(2);
-        // One phantom in-flight unit keeps the frontier open while the
-        // consumer below waits for the late donation.
-        f.charge(1);
+        // The donor takes the only seed, so its in-flight unit keeps the
+        // frontier open while the consumer below waits for the donation.
+        f.seed(vec![0]);
+        let mut donor = WorkerFrontier::new(&f);
+        assert_eq!(donor.acquire(&mut ()), Some(0));
         std::thread::scope(|s| {
             let h = s.spawn(|| {
-                let mut w = WorkerFrontier::new(&f, Vec::new());
+                let mut w = WorkerFrontier::new(&f);
                 w.acquire(&mut ())
             });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let mut donor = WorkerFrontier::new(&f, vec![7, 8, 9, 10]);
+            // Expanding node 0 yields four children.
+            let mut children: Vec<(f64, u32)> = (7..11).map(|n| (0.0, n)).collect();
+            donor.absorb(&mut children);
+            donor.settle();
             // The sleeper registered; a donation must hand it work.
             while f.sleepers.load(Ordering::SeqCst) == 0 {
                 std::thread::yield_now();

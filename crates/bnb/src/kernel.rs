@@ -307,7 +307,7 @@ pub enum SearchEvent {
         reason: StopReason,
     },
     /// A starved worker stole a batch of open nodes from an overflow
-    /// shard (parallel drivers only).
+    /// shard (parallel driver only).
     Stolen {
         /// Nodes taken — half the victim shard's queue, at least one.
         nodes: usize,

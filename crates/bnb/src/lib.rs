@@ -16,7 +16,9 @@
 //!   immediately, per-worker *local stacks* searched depth-first, and a
 //!   [sharded work-stealing frontier](frontier) for load balancing: the
 //!   master pre-branches until `2 × workers` open nodes exist, sorts them
-//!   by lower bound and deals them cyclically; a worker whose stack
+//!   by lower bound and deals them round-robin into the overflow shards;
+//!   the workers run on a [`WorkerPool`] (a shared executor, or
+//!   [`SpawnPool`]'s per-call threads); a worker whose stack
 //!   drains steals half a batch from a sharded overflow pool, and a
 //!   loaded worker donates its shallowest nodes in batches whenever a
 //!   peer is parked waiting. The per-node expansion fast path acquires
@@ -107,10 +109,8 @@ pub use cancel::CancelToken;
 pub use checkpoint::{CheckpointError, CheckpointFile, CheckpointPolicy};
 pub use frontier::{ShardedFrontier, WorkerFrontier};
 pub use kernel::{sanitize_lb, ChildBuf, Incumbents, PruneReason, SearchEvent, SearchObserver};
-pub use parallel::{
-    solve_parallel, solve_parallel_global, solve_parallel_observed, solve_parallel_pooled,
-};
-pub use pool::{PoolJob, WorkerPool};
+pub use parallel::solve_parallel;
+pub use pool::{PoolJob, SpawnPool, WorkerPool};
 pub use problem::{
     MemoryBudget, Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, StopReason,
     Strategy,

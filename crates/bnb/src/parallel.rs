@@ -1,11 +1,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use crate::frontier::{ShardedFrontier, WorkerFrontier};
 use crate::kernel::{
-    sanitize_lb, AtomicBudget, BreadthFirstFrontier, DepthFirstFrontier, Expander, Frontier,
-    IncumbentSink, Incumbents, SearchObserver, Step,
+    sanitize_lb, AtomicBudget, BreadthFirstFrontier, Expander, Frontier, IncumbentSink, Incumbents,
+    SearchObserver, Step,
 };
 use crate::pool::{PoolJob, WorkerPool};
 use crate::{
@@ -135,48 +135,34 @@ impl<S: Clone> IncumbentSink<S> for SeedSink<'_, S> {
     }
 }
 
-/// A worker's sink: prunes against a shared atomic bound and publishes
-/// accepted solutions immediately, so a later panic loses nothing. Used
-/// by both the sharded driver and the global-pool baseline, which share
-/// the bound/publish half of the machinery.
-struct WorkerSink<'a, S, F: Fn(f64, S)> {
-    bound: &'a SharedBound,
-    publish: F,
+/// A worker's sink: prunes against the shared atomic bound and publishes
+/// accepted solutions immediately, so a later panic loses nothing.
+struct WorkerSink<'a, N, S> {
+    shared: &'a Shared<N, S>,
     opts: &'a SearchOptions,
-    _marker: std::marker::PhantomData<S>,
 }
 
-impl<'a, S, F: Fn(f64, S)> WorkerSink<'a, S, F> {
-    fn new(bound: &'a SharedBound, opts: &'a SearchOptions, publish: F) -> Self {
-        WorkerSink {
-            bound,
-            publish,
-            opts,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<S, F: Fn(f64, S)> IncumbentSink<S> for WorkerSink<'_, S, F> {
+impl<N, S> IncumbentSink<S> for WorkerSink<'_, N, S> {
     fn current_ub(&self) -> f64 {
-        self.bound.get()
+        self.shared.bound.get()
     }
 
     fn accept(&mut self, value: f64, solution: S) -> bool {
+        let bound = &self.shared.bound;
         match self.opts.mode {
             SearchMode::BestOne => {
-                if self.bound.try_improve(value) {
-                    (self.publish)(value, solution);
+                if bound.try_improve(value) {
+                    self.shared.publish(value, solution);
                     true
                 } else {
                     false
                 }
             }
             SearchMode::AllOptimal => {
-                let ub = self.bound.get();
+                let ub = bound.get();
                 if value <= ub + self.opts.eps(ub) {
-                    (self.publish)(value, solution);
-                    self.bound.try_improve(value)
+                    self.shared.publish(value, solution);
+                    bound.try_improve(value)
                 } else {
                     false
                 }
@@ -186,22 +172,23 @@ impl<S, F: Fn(f64, S)> IncumbentSink<S> for WorkerSink<'_, S, F> {
 }
 
 /// Master/slave parallel branch-and-bound (the paper's Table 1 algorithm,
-/// with threads standing in for cluster nodes):
+/// with threads standing in for cluster nodes), run on the workers of a
+/// [`WorkerPool`]:
 ///
 /// 1. the master applies the initial incumbent (Step 3) and pre-branches
 ///    the tree breadth-first until at least `2 × workers` open nodes exist
 ///    (Step 5);
-/// 2. open nodes are sorted by lower bound and dealt cyclically to the
-///    workers' local stacks (Step 6);
-/// 3. every worker runs depth-first on its local stack (Step 7), pruning
+/// 2. open nodes are sorted by lower bound and dealt round-robin into the
+///    [sharded frontier](crate::frontier)'s overflow shards, so each
+///    shard's front holds its most promising node (Step 6);
+/// 3. the calling thread plus `workers − 1` pool jobs each steal a first
+///    batch and run depth-first on a local stack (Step 7), pruning
 ///    against the *shared* upper bound, which any improvement updates
 ///    atomically — the thread analogue of broadcasting the global UB;
-/// 4. load balancing is work stealing over a
-///    [sharded frontier](crate::frontier): a worker whose stack drains
-///    steals half a batch from a sharded overflow pool, and a loaded
-///    worker donates its shallowest nodes in batches whenever a peer is
-///    parked — nobody idles while work remains, and the per-node fast
-///    path never touches a lock;
+/// 4. load balancing is work stealing: a worker whose stack drains steals
+///    half a batch from an overflow shard, and a loaded worker donates its
+///    shallowest nodes in batches whenever a peer is parked — nobody idles
+///    while work remains, and the per-node fast path never touches a lock;
 /// 5. when the frontier's in-flight node counter reaches zero the search
 ///    is exhausted; the last worker closes the frontier and the master
 ///    gathers solutions (Step 8).
@@ -209,6 +196,20 @@ impl<S, F: Fn(f64, S)> IncumbentSink<S> for WorkerSink<'_, S, F> {
 /// Both the seeding phase and the workers run the shared
 /// [expansion kernel](crate::kernel); only the scheduling around it (the
 /// frontier, the shared bound, the stop flags) lives here.
+///
+/// The pool decides where the worker loops run: on a long-lived executor
+/// shared with other solves (the compact-set pipeline's
+/// `mutree_core::Executor`), or on threads spawned for this one call
+/// ([`SpawnPool`](crate::SpawnPool)). Termination needs no worker
+/// registration: the in-flight counter reaches zero when the tree is
+/// exhausted, whether one thread drained it or eight did, so the search
+/// completes even if a busy pool never runs some jobs (the calling thread
+/// alone suffices), and a job arriving after the search drained exits
+/// immediately on the closed frontier. The problem is `Arc`-shared
+/// because pool jobs are `'static` and may outlive this stack frame. The
+/// observer is cloned once per worker (plus once for the master's seeding
+/// phase), so each thread owns its copy and no locking is added to the
+/// hot path.
 ///
 /// With `workers == 1` this degenerates to (slightly buffered) sequential
 /// search; results are always identical in optimum value to
@@ -230,26 +231,16 @@ impl<S, F: Fn(f64, S)> IncumbentSink<S> for WorkerSink<'_, S, F> {
 /// * NaN lower bounds never prune (they are treated as `-∞`) and NaN
 ///   objective values are rejected, so a numerically degenerate problem
 ///   degrades to extra work instead of wrong answers.
-pub fn solve_parallel<P: Problem>(
-    problem: &P,
+pub fn solve_parallel<P, O>(
+    problem: Arc<P>,
     opts: &SearchOptions,
     workers: usize,
-) -> SearchOutcome<P::Solution> {
-    solve_parallel_observed(problem, opts, workers, ())
-}
-
-/// [`solve_parallel`] with a [`SearchObserver`]. The observer is cloned
-/// once per worker (plus once for the master's seeding phase), so each
-/// thread owns its copy and no locking is added to the hot path.
-pub fn solve_parallel_observed<P, O>(
-    problem: &P,
-    opts: &SearchOptions,
-    workers: usize,
+    pool: &dyn WorkerPool,
     observer: O,
 ) -> SearchOutcome<P::Solution>
 where
-    P: Problem,
-    O: SearchObserver + Clone + Send,
+    P: Problem + Send + Sync + 'static,
+    O: SearchObserver + Clone + Send + 'static,
 {
     assert!(workers >= 1, "need at least one worker");
     let mut master_inc = Incumbents::new(opts);
@@ -259,7 +250,7 @@ where
     let branches = AtomicU64::new(0);
     let mut master_obs = observer.clone();
     let seed = seed_phase(
-        problem,
+        &*problem,
         opts,
         workers,
         &mut master_inc,
@@ -279,139 +270,7 @@ where
         );
     }
 
-    // --- Sort by lower bound, deal cyclically (Step 6).
-    let mut seeds: Vec<(f64, P::Node)> = seed
-        .frontier
-        .into_vec()
-        .into_iter()
-        .map(|n| (sanitize_lb(problem.lower_bound(&n)), n))
-        .collect();
-    seeds.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let seed_count = seeds.len() as u64;
-    let mut locals: Vec<Vec<P::Node>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, (_, node)) in seeds.into_iter().enumerate() {
-        locals[i % workers].push(node);
-    }
-    // Local pools are stacks: reverse so the most promising node pops first.
-    for lp in &mut locals {
-        lp.reverse();
-    }
-
-    let shared: Shared<P::Node, P::Solution> = Shared::new(
-        ShardedFrontier::for_workers_with(workers, opts.frontier_shards),
-        bound,
-        branches,
-    );
-    // Charge the pre-dealt seeds before any worker starts, so the
-    // in-flight counter can never transiently read zero mid-search.
-    shared.frontier.charge(seed_count);
-
-    // --- Worker phase.
-    let worker_stats: Vec<Option<SearchStats>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .map(|lp| {
-                let shared = &shared;
-                let mut obs = observer.clone();
-                scope.spawn(move || {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(problem, opts, shared, lp, &mut obs)
-                    })) {
-                        Ok(stats) => Some(stats),
-                        Err(_) => {
-                            // The panic payload is intentionally dropped:
-                            // isolation means the search result reports the
-                            // fault, it does not re-raise it.
-                            shared.request_stop(StopReason::WorkerPanicked);
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(None))
-            .collect()
-    });
-
-    // --- Gather (Step 8).
-    let mut stats = seed.stats;
-    for wstats in worker_stats.into_iter().flatten() {
-        stats.merge(&wstats);
-    }
-    let mut all = master_inc.solutions;
-    all.append(&mut shared.take_found());
-    gather(opts, stats, all, shared.stop_reason())
-}
-
-/// [`solve_parallel`] on borrowed workers: the same master/slave search,
-/// but instead of spawning a fresh `thread::scope` per call, the worker
-/// loops run as jobs on a caller-supplied [`WorkerPool`], and the calling
-/// thread always serves as one of the workers.
-///
-/// This is the backend the compact-set pipeline uses so that group-level
-/// task parallelism and intra-solve B&B parallelism share one thread
-/// budget instead of oversubscribing the machine with nested scopes.
-///
-/// Differences from the scoped driver, none observable in the outcome:
-///
-/// * the problem is `Arc`-shared because pool jobs are `'static` and may
-///   outlive this stack frame (they self-terminate once the search ends);
-/// * seeds are dealt round-robin into the frontier's overflow shards
-///   (sorted so each shard's front holds its most promising node) rather
-///   than into per-worker local stacks — pool jobs start at staggered
-///   times and steal their first batch when they arrive, so a job that
-///   never runs orphans nothing;
-/// * termination needs no worker registration at all: the frontier's
-///   in-flight counter reaches zero when the tree is exhausted, whether
-///   one thread drained it or eight did, so the search completes even if
-///   the pool is too busy to ever run some jobs (the calling thread alone
-///   suffices) and a job arriving after the search drained exits
-///   immediately on the closed frontier.
-///
-/// The optimum value is identical to [`solve_sequential`] /
-/// [`solve_parallel`] for completed runs, as always with a shared exact
-/// bound.
-///
-/// [`solve_sequential`]: crate::solve_sequential
-pub fn solve_parallel_pooled<P, O>(
-    problem: Arc<P>,
-    opts: &SearchOptions,
-    workers: usize,
-    pool: &dyn WorkerPool,
-    observer: O,
-) -> SearchOutcome<P::Solution>
-where
-    P: Problem + Send + Sync + 'static,
-    O: SearchObserver + Clone + Send + 'static,
-{
-    assert!(workers >= 1, "need at least one worker");
-    let mut master_inc = Incumbents::new(opts);
-    let bound = SharedBound::unbounded();
-    let branches = AtomicU64::new(0);
-    let mut master_obs = observer.clone();
-    let seed = seed_phase(
-        &*problem,
-        opts,
-        workers,
-        &mut master_inc,
-        &bound,
-        &branches,
-        &mut master_obs,
-    );
-
-    if seed.frontier.is_empty() || seed.early_stop.is_some() {
-        return gather(
-            opts,
-            seed.stats,
-            master_inc.solutions,
-            seed.early_stop.unwrap_or(StopReason::Completed),
-        );
-    }
-
-    // Seeds go to the overflow shards, most promising first, so the first
-    // steal each worker performs grabs the best available batch.
+    // --- Sort by lower bound, deal into the shards (Step 6).
     let mut seeds: Vec<(f64, P::Node)> = seed
         .frontier
         .into_vec()
@@ -421,7 +280,7 @@ where
     seeds.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     let shared: Arc<Shared<P::Node, P::Solution>> = Arc::new(Shared::new(
-        ShardedFrontier::for_workers_with(workers, opts.frontier_shards),
+        ShardedFrontier::for_workers(workers),
         bound,
         branches,
     ));
@@ -429,52 +288,28 @@ where
         .frontier
         .seed(seeds.into_iter().map(|(_, n)| n).collect());
 
+    // --- Worker phase.
     let opts_shared = Arc::new(opts.clone());
-    let pooled_stats: Arc<Mutex<Vec<SearchStats>>> = Arc::new(Mutex::new(Vec::new()));
+    let worker_stats: Arc<Mutex<Vec<SearchStats>>> = Arc::new(Mutex::new(Vec::new()));
     let jobs: Vec<PoolJob> = (1..workers)
         .map(|_| {
             let problem = Arc::clone(&problem);
             let shared = Arc::clone(&shared);
             let opts = Arc::clone(&opts_shared);
-            let stats = Arc::clone(&pooled_stats);
+            let stats = Arc::clone(&worker_stats);
             let mut obs = observer.clone();
-            Box::new(move || {
-                // A late starter skips a search that already drained.
-                if shared.frontier.is_closed() {
-                    return;
-                }
-                match catch_unwind(AssertUnwindSafe(|| {
-                    run_worker(&*problem, &opts, &shared, Vec::new(), &mut obs)
-                })) {
-                    Ok(st) => stats.lock().unwrap_or_else(|e| e.into_inner()).push(st),
-                    Err(_) => shared.request_stop(StopReason::WorkerPanicked),
-                }
-            }) as PoolJob
+            Box::new(move || run_isolated(&*problem, &opts, &shared, &mut obs, &stats)) as PoolJob
         })
         .collect();
-
-    let mut caller_stats: Option<SearchStats> = None;
     let mut caller_obs = observer;
     pool.run_all(
         jobs,
-        Box::new(|| {
-            caller_stats = match catch_unwind(AssertUnwindSafe(|| {
-                run_worker(&*problem, opts, &shared, Vec::new(), &mut caller_obs)
-            })) {
-                Ok(st) => Some(st),
-                Err(_) => {
-                    shared.request_stop(StopReason::WorkerPanicked);
-                    None
-                }
-            };
-        }),
+        Box::new(|| run_isolated(&*problem, opts, &shared, &mut caller_obs, &worker_stats)),
     );
 
+    // --- Gather (Step 8).
     let mut stats = seed.stats;
-    if let Some(cs) = &caller_stats {
-        stats.merge(cs);
-    }
-    for ws in pooled_stats
+    for ws in worker_stats
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .iter()
@@ -484,6 +319,30 @@ where
     let mut all = master_inc.solutions;
     all.append(&mut shared.take_found());
     gather(opts, stats, all, shared.stop_reason())
+}
+
+/// Runs one worker loop and records its stats in `stats`. A worker that
+/// starts after the search drained returns at once. A panic (raised inside
+/// the [`Problem`] callbacks) stops the whole search with
+/// [`StopReason::WorkerPanicked`] and records nothing; the payload is
+/// intentionally dropped — isolation means the search result reports the
+/// fault, it does not re-raise it.
+fn run_isolated<P: Problem, O: SearchObserver>(
+    problem: &P,
+    opts: &SearchOptions,
+    shared: &Shared<P::Node, P::Solution>,
+    observer: &mut O,
+    stats: &Mutex<Vec<SearchStats>>,
+) {
+    if shared.frontier.is_closed() {
+        return;
+    }
+    match catch_unwind(AssertUnwindSafe(|| {
+        run_worker(problem, opts, shared, observer)
+    })) {
+        Ok(st) => stats.lock().unwrap_or_else(|e| e.into_inner()).push(st),
+        Err(_) => shared.request_stop(StopReason::WorkerPanicked),
+    }
 }
 
 /// What the master's seeding phase hands to the worker phase.
@@ -594,22 +453,21 @@ fn gather<S>(
 }
 
 /// One worker's scheduling loop around the expansion kernel: dive
-/// depth-first on the local stack; when it drains, steal from the
-/// frontier's overflow shards or park; after every expansion, donate
-/// surplus if a peer is parked. The per-node fast path (pop → expand →
+/// depth-first on the local stack (empty at first); when it drains, steal
+/// from the frontier's overflow shards or park; after every expansion,
+/// donate surplus if a peer is parked. The per-node fast path (pop → expand →
 /// finish) performs no mutex acquisition — shared state is touched only
 /// at steal/donate batch boundaries.
 fn run_worker<P: Problem, O: SearchObserver>(
     problem: &P,
     opts: &SearchOptions,
     shared: &Shared<P::Node, P::Solution>,
-    lp: Vec<P::Node>,
     observer: &mut O,
 ) -> SearchStats {
     let mut exp = Expander::new(problem, opts);
-    let mut frontier = WorkerFrontier::new(&shared.frontier, lp);
+    let mut frontier = WorkerFrontier::new(&shared.frontier);
     let mut budget = AtomicBudget::new(&shared.branches, opts.max_branches);
-    let mut sink = WorkerSink::new(&shared.bound, opts, |v, s| shared.publish(v, s));
+    let mut sink = WorkerSink { shared, opts };
     loop {
         if shared.stopping() {
             break;
@@ -668,266 +526,21 @@ fn run_worker<P: Problem, O: SearchObserver>(
     stats
 }
 
-// ---------------------------------------------------------------------------
-// Global-mutex baseline
-// ---------------------------------------------------------------------------
-
-/// State of the baseline's single global pool.
-struct GlobalPool<N> {
-    global: Vec<N>,
-    /// Workers currently blocked waiting for global work.
-    idle: usize,
-    /// Workers still running (panicked workers deregister themselves so
-    /// the `idle == alive` termination test stays reachable).
-    alive: usize,
-    done: bool,
-}
-
-/// The first-generation driver's shared state: one mutex-guarded pool,
-/// one condvar. Every donation and every starved worker serializes here —
-/// which is exactly what the `exp_frontier` benchmark measures against.
-struct GlobalShared<N, S> {
-    state: Mutex<GlobalPool<N>>,
-    cv: Condvar,
-    bound: SharedBound,
-    branches: AtomicU64,
-    stop: AtomicU8,
-    found: Mutex<Vec<(f64, S)>>,
-}
-
-impl<N, S> GlobalShared<N, S> {
-    fn lock_state(&self) -> MutexGuard<'_, GlobalPool<N>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn request_stop(&self, reason: StopReason) {
-        let _ = self.stop.compare_exchange(
-            STOP_NONE,
-            encode_stop(reason),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-        let mut st = self.lock_state();
-        st.done = true;
-        self.cv.notify_all();
-    }
-
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire) != STOP_NONE
-    }
-
-    /// Blocks until global work is available or the search has finished.
-    /// The wait is untimed: every transition that could end the wait
-    /// (donation, stop, panic deregistration) mutates the state and
-    /// notifies *while holding the state mutex*, so no wakeup can be
-    /// missed and no poll interval is needed.
-    fn fetch_global(&self) -> Option<N> {
-        let mut st = self.lock_state();
-        loop {
-            if st.done {
-                return None;
-            }
-            if let Some(n) = st.global.pop() {
-                return Some(n);
-            }
-            st.idle += 1;
-            if st.idle >= st.alive {
-                // Everyone still alive is out of work: the search is over.
-                st.done = true;
-                self.cv.notify_all();
-                return None;
-            }
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            if st.done {
-                return None;
-            }
-            st.idle -= 1;
-        }
-    }
-
-    /// Deregisters a panicked worker and wakes all waiters so the idle
-    /// count converges without it.
-    fn abandon_worker(&self) {
-        let mut st = self.lock_state();
-        st.alive = st.alive.saturating_sub(1);
-        if st.idle >= st.alive {
-            st.done = true;
-        }
-        self.cv.notify_all();
-    }
-
-    fn publish(&self, value: f64, solution: S) {
-        self.found
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((value, solution));
-    }
-}
-
-/// The retired first-generation parallel driver: one global
-/// `Mutex<Vec<N>>` pool with per-node donation and a condvar for starved
-/// workers. Kept (with the old timed poll replaced by a correctly
-/// synchronized untimed wait) **only** as the contention baseline for the
-/// `exp_frontier` benchmark and the agreement tests; production callers
-/// should use [`solve_parallel`], which runs the sharded work-stealing
-/// frontier instead.
-pub fn solve_parallel_global<P: Problem>(
-    problem: &P,
-    opts: &SearchOptions,
-    workers: usize,
-) -> SearchOutcome<P::Solution> {
-    assert!(workers >= 1, "need at least one worker");
-    let mut master_inc = Incumbents::new(opts);
-    let bound = SharedBound::unbounded();
-    let branches = AtomicU64::new(0);
-    let seed = seed_phase(
-        problem,
-        opts,
-        workers,
-        &mut master_inc,
-        &bound,
-        &branches,
-        &mut (),
-    );
-
-    if seed.frontier.is_empty() || seed.early_stop.is_some() {
-        return gather(
-            opts,
-            seed.stats,
-            master_inc.solutions,
-            seed.early_stop.unwrap_or(StopReason::Completed),
-        );
-    }
-
-    let mut seeds: Vec<(f64, P::Node)> = seed
-        .frontier
-        .into_vec()
-        .into_iter()
-        .map(|n| (sanitize_lb(problem.lower_bound(&n)), n))
-        .collect();
-    seeds.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut locals: Vec<Vec<P::Node>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, (_, node)) in seeds.into_iter().enumerate() {
-        locals[i % workers].push(node);
-    }
-    for lp in &mut locals {
-        lp.reverse();
-    }
-
-    let shared: GlobalShared<P::Node, P::Solution> = GlobalShared {
-        state: Mutex::new(GlobalPool {
-            global: Vec::new(),
-            idle: 0,
-            alive: workers,
-            done: false,
-        }),
-        cv: Condvar::new(),
-        bound,
-        branches,
-        stop: AtomicU8::new(STOP_NONE),
-        found: Mutex::new(Vec::new()),
-    };
-
-    let worker_stats: Vec<Option<SearchStats>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .map(|lp| {
-                let shared = &shared;
-                scope.spawn(move || {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        run_global_worker(problem, opts, shared, lp)
-                    })) {
-                        Ok(stats) => Some(stats),
-                        Err(_) => {
-                            shared.request_stop(StopReason::WorkerPanicked);
-                            shared.abandon_worker();
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(None))
-            .collect()
-    });
-
-    let mut stats = seed.stats;
-    for wstats in worker_stats.into_iter().flatten() {
-        stats.merge(&wstats);
-    }
-    let mut all = master_inc.solutions;
-    all.append(&mut shared.found.lock().unwrap_or_else(|e| e.into_inner()));
-    gather(
-        opts,
-        stats,
-        all,
-        decode_stop(shared.stop.load(Ordering::Acquire)),
-    )
-}
-
-/// The baseline worker loop: depth-first on the local stack, global-pool
-/// fetch when it drains, one-node donation under the global mutex — the
-/// pre-sharding hot path, with a mutex acquisition per expansion whenever
-/// any peer is idle.
-fn run_global_worker<P: Problem>(
-    problem: &P,
-    opts: &SearchOptions,
-    shared: &GlobalShared<P::Node, P::Solution>,
-    lp: Vec<P::Node>,
-) -> SearchStats {
-    let mut exp = Expander::new(problem, opts);
-    let mut frontier = DepthFirstFrontier::from_vec(lp);
-    let mut budget = AtomicBudget::new(&shared.branches, opts.max_branches);
-    let mut sink = WorkerSink::new(&shared.bound, opts, |v, s| shared.publish(v, s));
-    loop {
-        if shared.stopping() {
-            break;
-        }
-        if let Some(reason) = exp.poll_stop(&mut ()) {
-            shared.request_stop(reason);
-            break;
-        }
-        let node = match frontier.pop() {
-            Some(n) => n,
-            None => match shared.fetch_global() {
-                Some(n) => n,
-                None => break,
-            },
-        };
-        match exp.expand(&node, &mut sink, &mut budget, &mut frontier, &mut ()) {
-            Step::Stopped(reason) => {
-                shared.request_stop(reason);
-                break;
-            }
-            Step::Branched { .. } => {
-                exp.recycle(node);
-                // Load balancing: keep the global pool stocked while we
-                // have spare work (the paper's "send the last UT in sorted
-                // LP to GP").
-                if frontier.len() > 1 {
-                    let mut st = shared.lock_state();
-                    if st.global.is_empty() && !st.done && st.idle > 0 {
-                        if let Some(donated) = frontier.steal_oldest() {
-                            st.global.push(donated);
-                            shared.cv.notify_one();
-                        }
-                    }
-                }
-            }
-            _ => exp.recycle(node),
-        }
-    }
-    exp.stats()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::ChildBuf;
-    use crate::{solve_sequential, CancelToken};
+    use crate::{solve_sequential, CancelToken, SpawnPool};
     use std::time::Instant;
+
+    /// The driver on per-call spawned threads, with no observer.
+    fn spawned<P: Problem + Send + Sync + 'static>(
+        problem: P,
+        opts: &SearchOptions,
+        workers: usize,
+    ) -> SearchOutcome<P::Solution> {
+        solve_parallel(Arc::new(problem), opts, workers, &SpawnPool, ())
+    }
 
     /// Minimize the weighted ones-count over binary strings, with values
     /// crafted so the tree is big enough to exercise the pools.
@@ -972,21 +585,9 @@ mod tests {
         for workers in [1, 2, 4] {
             let opts = SearchOptions::new(SearchMode::BestOne);
             let seq = solve_sequential(&p, &opts);
-            let par = solve_parallel(&p, &opts, workers);
+            let par = spawned(problem(10), &opts, workers);
             assert_eq!(seq.best_value, par.best_value, "workers = {workers}");
             assert_eq!(par.solutions.len(), 1);
-            assert!(par.is_complete());
-        }
-    }
-
-    #[test]
-    fn global_baseline_matches_sequential_optimum() {
-        let p = problem(10);
-        for workers in [1, 2, 4] {
-            let opts = SearchOptions::new(SearchMode::BestOne);
-            let seq = solve_sequential(&p, &opts);
-            let par = solve_parallel_global(&p, &opts, workers);
-            assert_eq!(seq.best_value, par.best_value, "workers = {workers}");
             assert!(par.is_complete());
         }
     }
@@ -999,7 +600,7 @@ mod tests {
         };
         let opts = SearchOptions::new(SearchMode::AllOptimal);
         let seq = solve_sequential(&p, &opts);
-        let par = solve_parallel(&p, &opts, 3);
+        let par = spawned(p, &opts, 3);
         let norm = |mut v: Vec<Vec<bool>>| {
             v.sort();
             v.dedup();
@@ -1016,7 +617,7 @@ mod tests {
         let p = problem(8);
         let opts = SearchOptions::new(SearchMode::AllOptimal);
         let seq = solve_sequential(&p, &opts);
-        let par = solve_parallel(&p, &opts, 1);
+        let par = spawned(p, &opts, 1);
         assert_eq!(seq.best_value, par.best_value);
         assert_eq!(seq.solutions.len(), par.solutions.len());
     }
@@ -1025,7 +626,7 @@ mod tests {
     fn more_workers_than_nodes() {
         let p = problem(2);
         let opts = SearchOptions::new(SearchMode::BestOne);
-        let par = solve_parallel(&p, &opts, 16);
+        let par = spawned(p, &opts, 16);
         assert_eq!(par.best_value, Some(0.0));
     }
 
@@ -1033,7 +634,7 @@ mod tests {
     fn budget_abort_is_reported() {
         let p = problem(18);
         let opts = SearchOptions::new(SearchMode::BestOne).max_branches(10);
-        let par = solve_parallel(&p, &opts, 4);
+        let par = spawned(p, &opts, 4);
         assert_eq!(par.stop, StopReason::BudgetExhausted);
         assert!(!par.is_complete());
     }
@@ -1042,7 +643,7 @@ mod tests {
     fn expired_deadline_returns_quickly() {
         let p = problem(20);
         let opts = SearchOptions::new(SearchMode::BestOne).deadline(Instant::now());
-        let par = solve_parallel(&p, &opts, 4);
+        let par = spawned(p, &opts, 4);
         assert_eq!(par.stop, StopReason::DeadlineExpired);
     }
 
@@ -1052,7 +653,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let opts = SearchOptions::new(SearchMode::BestOne).cancel_token(token);
-        let par = solve_parallel(&p, &opts, 4);
+        let par = spawned(p, &opts, 4);
         assert_eq!(par.stop, StopReason::Cancelled);
     }
 
@@ -1079,7 +680,7 @@ mod tests {
             }
         }
         let p = Hinted(problem(6));
-        let out = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+        let out = spawned(p, &SearchOptions::new(SearchMode::BestOne), 4);
         assert_eq!(out.best_value, Some(0.0));
         assert_eq!(out.solutions.len(), 1);
         assert!(out.is_complete());
@@ -1087,9 +688,8 @@ mod tests {
 
     #[test]
     fn stress_many_runs_no_deadlock() {
-        let p = problem(9);
         for _ in 0..25 {
-            let out = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+            let out = spawned(problem(9), &SearchOptions::new(SearchMode::BestOne), 4);
             assert_eq!(out.best_value, Some(0.0));
         }
     }
@@ -1102,12 +702,12 @@ mod tests {
         // conservation oracle across steals and donations — no node
         // lost, none expanded twice.
         let depth = 12u32;
-        let p = WeightedBits {
+        let p = Arc::new(WeightedBits {
             weights: vec![0.0; depth as usize],
-        };
+        });
         let opts = SearchOptions::new(SearchMode::AllOptimal);
         for _ in 0..5 {
-            let out = solve_parallel(&p, &opts, 8);
+            let out = solve_parallel(Arc::clone(&p), &opts, 8, &SpawnPool, ());
             assert!(out.is_complete());
             assert_eq!(out.stats.solutions_seen, 1u64 << depth);
             assert_eq!(out.stats.branched, (1u64 << depth) - 1);
@@ -1143,7 +743,7 @@ mod tests {
         let p = NanBounds(problem(8));
         let opts = SearchOptions::new(SearchMode::BestOne);
         let seq = solve_sequential(&p, &opts);
-        let par = solve_parallel(&p, &opts, 4);
+        let par = spawned(p, &opts, 4);
         assert_eq!(seq.best_value, Some(0.0));
         assert_eq!(par.best_value, Some(0.0));
         assert!(par.is_complete());

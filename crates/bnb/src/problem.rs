@@ -224,11 +224,6 @@ pub struct SearchOptions {
     /// default). Requires the problem to implement
     /// [`Problem::encode_solution`].
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Overrides the parallel drivers' work-stealing shard count (clamped
-    /// to the frontier's maximum). `None` uses the worker-derived default.
-    /// Callers resolve the `MUTREE_FRONTIER_SHARDS` environment hook into
-    /// this field; this crate itself never reads the environment.
-    pub frontier_shards: Option<usize>,
 }
 
 impl SearchOptions {
@@ -244,7 +239,6 @@ impl SearchOptions {
             cancel: None,
             memory: None,
             checkpoint: None,
-            frontier_shards: None,
         }
     }
 
@@ -288,13 +282,6 @@ impl SearchOptions {
     /// [`CheckpointPolicy`]).
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
-        self
-    }
-
-    /// Overrides the parallel drivers' work-stealing shard count (see
-    /// [`SearchOptions::frontier_shards`]).
-    pub fn frontier_shards(mut self, shards: usize) -> Self {
-        self.frontier_shards = Some(shards);
         self
     }
 
@@ -345,10 +332,10 @@ pub struct SearchStats {
     /// Largest number of nodes simultaneously alive in the pools.
     pub peak_pool: u64,
     /// Work-stealing traffic: batches stolen from overflow shards by
-    /// starved workers (parallel drivers only; zero elsewhere).
+    /// starved workers (parallel driver only; zero elsewhere).
     pub steals: u64,
     /// Work-stealing traffic: surplus batches donated to overflow shards
-    /// for parked peers (parallel drivers only; zero elsewhere).
+    /// for parked peers (parallel driver only; zero elsewhere).
     pub donations: u64,
     /// Times a worker parked with every shard empty — high values mean
     /// the search is starved for parallelism, not compute.

@@ -12,7 +12,7 @@
 //! budget shared by group-level parallelism and intra-solve B&B
 //! parallelism (the executor also implements
 //! [`WorkerPool`], so
-//! [`solve_parallel_pooled`](mutree_bnb::solve_parallel_pooled) borrows
+//! [`solve_parallel`](mutree_bnb::solve_parallel) borrows
 //! the same workers).
 //!
 //! # Design rules
@@ -243,10 +243,6 @@ impl Executor {
 }
 
 impl WorkerPool for Executor {
-    fn threads(&self) -> usize {
-        self.thread_count()
-    }
-
     fn run_all(&self, jobs: Vec<PoolJob>, main: Box<dyn FnOnce() + '_>) {
         let latch = Arc::new(Latch::new(jobs.len()));
         for job in jobs {
@@ -714,10 +710,14 @@ mod tests {
     #[test]
     fn executor_as_worker_pool_runs_pooled_search() {
         use mutree_bnb::{
-            solve_parallel_pooled, solve_sequential, ChildBuf, Problem, SearchMode, SearchOptions,
+            solve_parallel, solve_sequential, ChildBuf, Problem, SearchMode, SearchOptions,
         };
 
-        struct Bits;
+        /// Binary strings of length `depth`; each set bit costs `weight`.
+        struct Bits {
+            depth: usize,
+            weight: f64,
+        }
         impl Problem for Bits {
             type Node = Vec<bool>;
             type Solution = Vec<bool>;
@@ -725,10 +725,10 @@ mod tests {
                 Vec::new()
             }
             fn lower_bound(&self, n: &Vec<bool>) -> f64 {
-                n.iter().filter(|&&b| b).count() as f64
+                self.weight * n.iter().filter(|&&b| b).count() as f64
             }
             fn solution(&self, n: &Vec<bool>) -> Option<(Vec<bool>, f64)> {
-                (n.len() == 10).then(|| (n.clone(), self.lower_bound(n)))
+                (n.len() == self.depth).then(|| (n.clone(), self.lower_bound(n)))
             }
             fn branch(&self, n: &Vec<bool>, out: &mut ChildBuf<Vec<bool>>) {
                 for b in [true, false] {
@@ -740,12 +740,44 @@ mod tests {
         }
 
         let opts = SearchOptions::new(SearchMode::BestOne);
-        let seq = solve_sequential(&Bits, &opts);
+        let bits = Bits {
+            depth: 10,
+            weight: 1.0,
+        };
+        let seq = solve_sequential(&bits, &opts);
+        let bits = Arc::new(bits);
         for threads in [1, 4] {
             let exec = Executor::new(threads);
-            let pooled = solve_parallel_pooled(Arc::new(Bits), &opts, 4, &exec, ());
+            let pooled = solve_parallel(Arc::clone(&bits), &opts, 4, &exec, ());
             assert_eq!(pooled.best_value, seq.best_value, "threads = {threads}");
             assert!(pooled.is_complete());
+        }
+
+        // The tree-conservation oracle with fewer pool threads than
+        // workers: most worker jobs stay queued until the caller helps
+        // drain them after its own loop, so the search must finish on the
+        // threads it has. With zero weights under AllOptimal nothing
+        // prunes, and every node must be expanded exactly once.
+        let depth = 12;
+        let zero = Arc::new(Bits { depth, weight: 0.0 });
+        let all = SearchOptions::new(SearchMode::AllOptimal);
+        for threads in [1, 2] {
+            let exec = Executor::new(threads);
+            for _ in 0..3 {
+                let out = solve_parallel(Arc::clone(&zero), &all, 8, &exec, ());
+                assert!(out.is_complete(), "threads = {threads}");
+                assert_eq!(
+                    out.stats.branched,
+                    (1u64 << depth) - 1,
+                    "threads = {threads}"
+                );
+                assert_eq!(
+                    out.stats.solutions_seen,
+                    1u64 << depth,
+                    "threads = {threads}"
+                );
+                assert_eq!(out.solutions.len(), 1 << depth, "threads = {threads}");
+            }
         }
     }
 

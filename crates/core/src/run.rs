@@ -185,9 +185,6 @@ pub fn plan_solver(plan: &SolvePlan) -> MutSolver {
     if let Some(p) = req.prune {
         s = s.prune(p);
     }
-    if let Some(shards) = plan.frontier_shards {
-        s = s.frontier_shards(shards);
-    }
     if let Some(budget) = req.memory {
         s = s.memory_budget(budget);
     }

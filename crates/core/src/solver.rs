@@ -4,9 +4,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mutree_bnb::{
-    checkpoint, solve_parallel_observed, solve_parallel_pooled, solve_sequential_observed,
-    BoundKernel, CancelToken, CheckpointFile, CheckpointPolicy, LoggingObserver, MemoryBudget,
-    PruneStrategy, SearchMode, SearchOptions, SearchStats, StopReason, Strategy,
+    checkpoint, solve_parallel, solve_sequential_observed, BoundKernel, CancelToken,
+    CheckpointFile, CheckpointPolicy, LoggingObserver, MemoryBudget, PruneStrategy, SearchMode,
+    SearchOptions, SearchStats, SpawnPool, StopReason, Strategy, WorkerPool,
 };
 use mutree_clustersim::{ClusterSpec, SimReport};
 use mutree_distmat::DistanceMatrix;
@@ -49,7 +49,9 @@ fn env_forced_leaf_words() -> Option<usize> {
 pub enum SearchBackend {
     /// Single-threaded depth-first search (Algorithm BBU as published).
     Sequential,
-    /// Master/slave thread-parallel search with global and local pools.
+    /// Master/slave thread-parallel search: per-worker local stacks over a
+    /// sharded work-stealing frontier, on the attached
+    /// [`executor`](MutSolver::executor) or on threads spawned per solve.
     Parallel {
         /// Number of worker threads (the paper's slave computing nodes).
         workers: usize,
@@ -124,7 +126,6 @@ pub struct MutSolver {
     panic_fuel: Option<(usize, Arc<AtomicU64>)>,
     leaf_words: Option<usize>,
     prune: Option<PruneStrategy>,
-    frontier_shards: Option<usize>,
     memory: Option<MemoryBudget>,
     checkpoint: Option<CheckpointPolicy>,
     resume: Option<PathBuf>,
@@ -158,7 +159,6 @@ impl MutSolver {
             panic_fuel: None,
             leaf_words: None,
             prune: None,
-            frontier_shards: None,
             memory: None,
             checkpoint: None,
             resume: None,
@@ -262,15 +262,6 @@ impl MutSolver {
         self
     }
 
-    /// Overrides the parallel drivers' work-stealing shard count
-    /// (clamped to the frontier's compiled-in maximum). The
-    /// `MUTREE_FRONTIER_SHARDS` environment variable applies the same
-    /// override process-wide; this builder wins when both are set.
-    pub fn frontier_shards(mut self, shards: usize) -> Self {
-        self.frontier_shards = Some(shards);
-        self
-    }
-
     /// Seeds the search with a known-feasible incumbent tree (original
     /// taxon indexing, all `n` taxa). Its heights are re-fit to dominate
     /// the matrix and it competes with the UPGMM tree for the initial
@@ -315,7 +306,7 @@ impl MutSolver {
     }
 
     /// Borrows worker threads from `exec` for the thread-parallel backend
-    /// instead of spawning a fresh `thread::scope` per solve, so many
+    /// instead of spawning fresh threads per solve, so many
     /// concurrent solves (the compact-set pipeline's group stages) share
     /// one thread budget. Ignored by the other backends.
     pub fn executor(mut self, exec: Executor) -> Self {
@@ -635,9 +626,6 @@ impl MutSolver {
         opts.deadline = self.deadline;
         opts.cancel = self.cancel.clone();
         opts.memory = self.memory;
-        opts.frontier_shards = self
-            .frontier_shards
-            .or_else(mutree_engine::plan::env_frontier_shards);
         // A cadence set before any destination was given has an empty
         // path; never hand that to the drivers.
         opts.checkpoint = self
@@ -651,14 +639,13 @@ impl MutSolver {
                 None,
             ),
             SearchBackend::Parallel { workers } => {
-                let out = match &self.executor {
-                    // Borrowed workers: the search runs on the caller's
-                    // shared pool instead of a per-solve thread::scope.
-                    Some(exec) => {
-                        solve_parallel_pooled(Arc::new(problem), &opts, *workers, exec, self.trace)
-                    }
-                    None => solve_parallel_observed(&problem, &opts, *workers, self.trace),
+                // Borrowed workers run on the caller's shared pool; without
+                // one, each solve spawns its own threads.
+                let pool: &dyn WorkerPool = match &self.executor {
+                    Some(exec) => exec,
+                    None => &SpawnPool,
                 };
+                let out = solve_parallel(Arc::new(problem), &opts, *workers, pool, self.trace);
                 (out, None)
             }
             SearchBackend::SimulatedCluster { spec } => {

@@ -17,7 +17,6 @@
 //! |---|---|---|
 //! | `MUTREE_PIPELINE_THREADS` | `threads` | pipeline executor thread count |
 //! | `MUTREE_FORCE_LEAF_WORDS` | `leaf_words` | leaf-bitset width in 64-bit words |
-//! | `MUTREE_FRONTIER_SHARDS` | `frontier_shards` | work-stealing shard count |
 //! | `MUTREE_CACHE` | `cache` | `1`/`true`/`on` enables the group-solve cache |
 //! | `MUTREE_SERVE_QUEUE_DEPTH` | — (daemon knob) | `mutree serve` admission-queue depth |
 //! | `MUTREE_SERVE_WORKERS` | — (daemon knob) | `mutree serve` concurrent solve workers |
@@ -55,15 +54,6 @@ pub fn env_forced_leaf_words() -> Option<usize> {
     std::env::var("MUTREE_FORCE_LEAF_WORDS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
-}
-
-/// Forced work-stealing shard count from `MUTREE_FRONTIER_SHARDS`
-/// (integer ≥ 1; the frontier clamps to its compiled-in maximum).
-pub fn env_frontier_shards() -> Option<usize> {
-    std::env::var("MUTREE_FRONTIER_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&s| s >= 1)
 }
 
 /// Whether `MUTREE_CACHE` asks for the group-solve cache (`1`, `true`
@@ -107,8 +97,6 @@ pub struct EnvOverrides {
     pub pipeline_threads: Option<usize>,
     /// `MUTREE_FORCE_LEAF_WORDS` (raw, validated downstream).
     pub leaf_words: Option<usize>,
-    /// `MUTREE_FRONTIER_SHARDS`.
-    pub frontier_shards: Option<usize>,
     /// `MUTREE_CACHE`.
     pub cache: Option<bool>,
 }
@@ -125,7 +113,6 @@ impl EnvOverrides {
         EnvOverrides {
             pipeline_threads: env_pipeline_threads(),
             leaf_words: env_forced_leaf_words(),
-            frontier_shards: env_frontier_shards(),
             cache: env_cache_enabled(),
         }
     }
@@ -145,8 +132,6 @@ pub struct SolvePlan {
     pub threads: Option<usize>,
     /// Resolved forced leaf width (still unvalidated).
     pub leaf_words: Option<usize>,
-    /// Resolved frontier shard override.
-    pub frontier_shards: Option<usize>,
     /// Whether the group-solve cache is on.
     pub cache_enabled: bool,
     /// Whether the cache decision came from the request itself rather
@@ -164,14 +149,12 @@ impl SolvePlan {
     pub fn resolve(request: SolveRequest, env: &EnvOverrides) -> SolvePlan {
         let threads = request.threads.or(env.pipeline_threads);
         let leaf_words = request.leaf_words.or(env.leaf_words);
-        let frontier_shards = request.frontier_shards.or(env.frontier_shards);
         let cache_enabled = request.cache.or(env.cache).unwrap_or(false);
         let cache_explicit = request.cache.is_some();
         SolvePlan {
             request,
             threads,
             leaf_words,
-            frontier_shards,
             cache_enabled,
             cache_explicit,
         }
@@ -202,7 +185,6 @@ mod tests {
         let plan = SolvePlan::resolve(request(), &EnvOverrides::none());
         assert_eq!(plan.threads, None);
         assert_eq!(plan.leaf_words, None);
-        assert_eq!(plan.frontier_shards, None);
         assert!(!plan.cache_enabled);
         assert!(!plan.cache_explicit);
     }
@@ -212,13 +194,11 @@ mod tests {
         let env = EnvOverrides {
             pipeline_threads: Some(8),
             leaf_words: Some(2),
-            frontier_shards: Some(4),
             cache: Some(true),
         };
         let plan = SolvePlan::resolve(request(), &env);
         assert_eq!(plan.threads, Some(8));
         assert_eq!(plan.leaf_words, Some(2));
-        assert_eq!(plan.frontier_shards, Some(4));
         assert!(plan.cache_enabled);
         // Environment-enabled, not explicit.
         assert!(!plan.cache_explicit);
@@ -229,18 +209,12 @@ mod tests {
         let env = EnvOverrides {
             pipeline_threads: Some(8),
             leaf_words: Some(4),
-            frontier_shards: Some(64),
             cache: Some(true),
         };
-        let req = request()
-            .threads(2)
-            .leaf_words(1)
-            .frontier_shards(3)
-            .cache(false);
+        let req = request().threads(2).leaf_words(1).cache(false);
         let plan = SolvePlan::resolve(req, &env);
         assert_eq!(plan.threads, Some(2));
         assert_eq!(plan.leaf_words, Some(1));
-        assert_eq!(plan.frontier_shards, Some(3));
         assert!(!plan.cache_enabled);
         assert!(plan.cache_explicit);
     }

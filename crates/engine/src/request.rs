@@ -201,9 +201,6 @@ pub struct SolveRequest {
     /// Forced prune-stage strategy. `None` means the default
     /// (propagate).
     pub prune: Option<PruneStrategy>,
-    /// Forced work-stealing shard count. `None` defers to
-    /// `MUTREE_FRONTIER_SHARDS`, then to the worker-derived policy.
-    pub frontier_shards: Option<usize>,
     /// Open-node cap for the memory watchdog.
     pub memory: Option<MemoryBudget>,
     /// Crash-safe incumbent snapshots while solving.
@@ -247,7 +244,6 @@ impl SolveRequest {
             threads: None,
             leaf_words: None,
             prune: None,
-            frontier_shards: None,
             memory: None,
             checkpoint: None,
             resume: None,
@@ -306,12 +302,6 @@ impl SolveRequest {
     /// Forces the prune-stage strategy.
     pub fn prune(mut self, prune: PruneStrategy) -> Self {
         self.prune = Some(prune);
-        self
-    }
-
-    /// Forces the frontier shard count (overrides the environment).
-    pub fn frontier_shards(mut self, shards: usize) -> Self {
-        self.frontier_shards = Some(shards);
         self
     }
 
@@ -381,9 +371,6 @@ impl SolveRequest {
         }
         if let Some(p) = self.prune {
             line(format!("prune {}", p.name()));
-        }
-        if let Some(s) = self.frontier_shards {
-            line(format!("frontier-shards {s}"));
         }
         if let Some(m) = self.memory {
             line(format!("memory-nodes {}", m.max_open_nodes));
@@ -522,17 +509,20 @@ impl SolveRequest {
                 }
                 "backend" => {
                     let mut parts = rest.split_whitespace();
+                    // Both drivers need at least one worker.
+                    let count = |tok: &str, what: &str| -> Result<usize, RequestError> {
+                        tok.parse()
+                            .ok()
+                            .filter(|&n| n >= 1)
+                            .ok_or_else(|| fail(ln, format!("bad {what} count {tok:?}")))
+                    };
                     req.backend = match (parts.next(), parts.next()) {
                         (Some("seq"), None) => BackendSpec::Sequential,
                         (Some("par"), Some(w)) => BackendSpec::Parallel {
-                            workers: w
-                                .parse()
-                                .map_err(|_| fail(ln, format!("bad worker count {w:?}")))?,
+                            workers: count(w, "worker")?,
                         },
                         (Some("sim"), Some(s)) => BackendSpec::SimulatedCluster {
-                            slaves: s
-                                .parse()
-                                .map_err(|_| fail(ln, format!("bad slave count {s:?}")))?,
+                            slaves: count(s, "slave")?,
                         },
                         _ => return Err(fail(ln, format!("unknown backend {rest:?}"))),
                     }
@@ -564,7 +554,6 @@ impl SolveRequest {
                             .ok_or_else(|| fail(ln, format!("unknown prune strategy {rest:?}")))?,
                     )
                 }
-                "frontier-shards" => req.frontier_shards = Some(usize_arg()?),
                 "memory-nodes" => {
                     let nodes: u64 = rest
                         .trim()
@@ -737,7 +726,6 @@ mod tests {
             .threads(8)
             .leaf_words(2)
             .prune(PruneStrategy::Propagate)
-            .frontier_shards(16)
             .cache(true);
         req.strategy = Strategy::BestFirst;
         req.three_three = ThreeThree::Full;
@@ -801,13 +789,21 @@ mod tests {
         assert_eq!(err.line, 2);
         let truncated = "mutree-request v1\nmatrix inline 4\nrow 0000000000000000\n";
         assert!(SolveRequest::decode(truncated).is_err());
-        // Knobs older clients may still send: the bound-kernel switch and
-        // the hybrid prune strategy no longer exist.
+        // Knobs older clients may still send (the bound-kernel switch,
+        // the hybrid prune strategy and the frontier shard count no
+        // longer exist), and backends with no worker to run on.
         let encoded = SolveRequest::exact(sample_matrix()).encode();
-        for retired in ["bound-kernel lanes", "bound-kernel scalar", "prune hybrid"] {
-            let text = encoded.replacen('\n', &format!("\n{retired}\n"), 1);
+        for bad in [
+            "bound-kernel lanes",
+            "bound-kernel scalar",
+            "prune hybrid",
+            "frontier-shards 4",
+            "backend par 0",
+            "backend sim 0",
+        ] {
+            let text = encoded.replacen('\n', &format!("\n{bad}\n"), 1);
             let err = SolveRequest::decode(&text).unwrap_err();
-            assert_eq!(err.line, 2, "{retired}: {err}");
+            assert_eq!(err.line, 2, "{bad}: {err}");
         }
     }
 

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 /// An 80-taxon clustered (ultrametric) matrix solves exactly — proven
 /// optimal, all 80 leaves, exact distance reproduction — on both the
-/// sequential and pooled-parallel drivers.
+/// sequential driver and the parallel driver on an executor.
 #[test]
 fn eighty_taxa_solves_exactly_without_decomposition() {
     let mut rng = StdRng::seed_from_u64(80);
