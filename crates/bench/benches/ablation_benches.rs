@@ -106,6 +106,11 @@ fn bench_substrates(c: &mut Criterion) {
     g.bench_function("compact_sets_n32", |b| {
         b.iter(|| CompactSets::find(&m).len())
     });
+    // The size the pipeline and the daemon run detection at.
+    let m128 = data::hmdna_matrix(128, 0);
+    g.bench_function("compact_sets_n128", |b| {
+        b.iter(|| CompactSets::find(&m128).len())
+    });
     g.bench_function("kruskal_n32", |b| {
         b.iter(|| kruskal(&WeightedGraph::from_matrix(&m)).unwrap().weight())
     });

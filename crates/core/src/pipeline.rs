@@ -297,6 +297,7 @@ impl CompactPipeline {
         if run.cache_explicit {
             if let (Some(cache), Some(solver_sig)) = (run.cache.clone(), run.solver.cache_sig()) {
                 let sig = run.pipeline_sig(solver_sig);
+                let started = Instant::now();
                 let probe = cache.probe(m, sig);
                 let poisoned = probe.poisoned;
                 return match probe.outcome {
@@ -318,7 +319,7 @@ impl CompactPipeline {
                             degraded: Vec::new(),
                             timings: vec![StageTiming {
                                 stage: "cached".to_string(),
-                                seconds: 0.0,
+                                seconds: started.elapsed().as_secs_f64(),
                                 attempts: 1,
                                 provenance: StageProvenance::Cached,
                             }],

@@ -15,10 +15,15 @@
 //! below every species outside it (Lemma 1), so solving each compact set
 //! separately preserves the true phylogenetic relations.
 //!
-//! The detection algorithm here is the paper's §3.1: build an MST
-//! ([`kruskal`]), process its edges in ascending weight order merging
-//! components with a [`UnionFind`], and after each merge test compactness.
-//! Internal maxima are maintained incrementally; see [`CompactSets::find`].
+//! The detection algorithm here is the paper's §3.1 in `O(n²)` time and one
+//! `n × n` buffer: a dense Prim scan builds the MST under the strict edge
+//! order `(weight, smaller endpoint, larger endpoint)` (so ties cannot change
+//! the tree), its edges are merged in ascending order, and after each merge
+//! compactness is tested. Internal maxima are maintained incrementally, each
+//! component keeps a folded row of minimum distances to every taxon for the
+//! crossing minimum, and the laminar parents are recorded as sets are found;
+//! see [`CompactSets::find`]. [`kruskal`], [`prim`] and [`UnionFind`] are the
+//! general-purpose building blocks.
 //!
 //! ```
 //! use mutree_distmat::DistanceMatrix;

@@ -1,7 +1,6 @@
 /// Disjoint-set union with union by rank and path compression.
 ///
-/// Amortized near-constant time per operation; used by Kruskal's algorithm
-/// and the compact-set merge loop.
+/// Amortized near-constant time per operation; used by Kruskal's algorithm.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,

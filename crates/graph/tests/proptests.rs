@@ -5,7 +5,29 @@ use mutree_distmat::{gen, DistanceMatrix};
 use mutree_graph::{kruskal, prim, CompactSets, UnionFind, WeightedGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// A matrix of one of three families: small integers in `0..4` (heavily
+/// tied), all entries equal, and a perturbed ultrametric (tie-free).
+fn family_matrix(family: u8, n: usize, seed: u64) -> DistanceMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    if family == 2 {
+        return gen::perturbed_ultrametric(n, 40.0, 0.15, &mut rng);
+    }
+    let constant = rng.gen_range(0u32..3) as f64;
+    let mut m = DistanceMatrix::zeros(n).unwrap();
+    for i in 1..n {
+        for j in 0..i {
+            let d = if family == 0 {
+                rng.gen_range(0u32..4) as f64
+            } else {
+                constant
+            };
+            m.set(i, j, d);
+        }
+    }
+    m
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -48,44 +70,46 @@ proptest! {
         prop_assert_eq!(uf.components(), labels.len());
     }
 
-    /// Brute-force definition check: a set is compact iff its internal max
-    /// is below its crossing min. Every set the algorithm reports must
-    /// satisfy it, and every 2-element compact set must be reported.
+    /// Brute-force definition check: enumerate all `2^n` subsets and
+    /// require the reported family to be exactly the proper compact sets
+    /// (`2 ≤ |A| < n`, `Max(A) < Min(A, !A)`), each listed after its
+    /// subsets. Runs on small-integer (heavily tied), all-equal
+    /// and perturbed-ultrametric matrices.
     #[test]
-    fn compact_sets_match_definition(n in 3usize..10, seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = gen::perturbed_ultrametric(n, 40.0, 0.15, &mut rng);
+    fn compact_sets_match_definition(n in 2usize..=10, family in 0u8..3, seed in any::<u64>()) {
+        let m = family_matrix(family, n, seed);
         let cs = CompactSets::find(&m);
-        let is_compact = |members: &[usize]| {
+        let mut want: Vec<Vec<usize>> = Vec::new();
+        for mask in 1u32..(1 << n) - 1 {
+            let members: Vec<usize> = (0..n).filter(|&v| mask >> v & 1 == 1).collect();
+            if members.len() < 2 {
+                continue;
+            }
             let mut max_in = 0.0f64;
             let mut min_out = f64::INFINITY;
-            for &a in members {
+            for &a in &members {
                 for b in 0..n {
-                    if members.contains(&b) {
-                        if b > a {
-                            max_in = max_in.max(m.get(a, b));
-                        }
-                    } else {
+                    if mask >> b & 1 == 0 {
                         min_out = min_out.min(m.get(a, b));
+                    } else if b > a {
+                        max_in = max_in.max(m.get(a, b));
                     }
                 }
             }
-            max_in < min_out
-        };
-        for s in cs.iter() {
-            prop_assert!(is_compact(s.members()), "{:?} reported but not compact", s.members());
-        }
-        // Completeness for pairs.
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if is_compact(&[a, b]) {
-                    prop_assert!(
-                        cs.iter().any(|s| s.members() == [a, b]),
-                        "compact pair ({a}, {b}) missed"
-                    );
-                }
+            if max_in < min_out {
+                want.push(members);
             }
         }
+        let mut got: Vec<Vec<usize>> = cs.iter().map(|s| s.members().to_vec()).collect();
+        // Detection order puts every set after its subsets.
+        for (i, a) in got.iter().enumerate() {
+            for b in &got[i + 1..] {
+                prop_assert!(!b.iter().all(|v| a.contains(v)), "{:?} after {:?}", b, a);
+            }
+        }
+        got.sort();
+        want.sort();
+        prop_assert_eq!(got, want);
     }
 
     #[test]

@@ -35,8 +35,10 @@
 //! daemon ([`ServeConfig::cache_default`]) — one process-wide
 //! [`GroupCache`](mutree_core::GroupCache) (the same instance
 //! `solve_plan` uses in-process, so a daemon answer is bit-identical to
-//! a local one). Replayed matrices are answered from memory with
-//! `StageProvenance::Cached`.
+//! a local one). Replayed exact matrices are answered from memory with
+//! `StageProvenance::Cached`; decomposed requests are re-solved, because
+//! the pipeline's cache probes are off under the request's cancel token
+//! (DESIGN.md §3.11).
 //!
 //! **Drain.** A `mutree-shutdown v1` frame stops admission (and the
 //! acceptor), lets every queued and in-flight request finish, then

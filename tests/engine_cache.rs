@@ -186,4 +186,12 @@ fn poisoned_cache_degrades_to_cold_solve() {
         "no stage may be served from a poisoned cache: {:?}",
         replay.timings
     );
+    // The re-solve filed a clean whole-run entry; the next run replays it,
+    // timed like any other stage.
+    let warm = pipeline().solve(&m).unwrap();
+    assert_eq!(warm.stats.cache_hits, 1);
+    assert_eq!(warm.weight.to_bits(), cold.weight.to_bits());
+    assert_eq!(warm.timings.len(), 1);
+    assert_eq!(warm.timings[0].provenance, StageProvenance::Cached);
+    assert!(warm.timings[0].seconds > 0.0, "{:?}", warm.timings);
 }
